@@ -23,14 +23,13 @@ import itertools
 import json
 import sys
 
+from sudfdr import __version__
 from sudfdr.bounds import BoundInputs, gap_bound_fm, gap_bound_rm
 from sudfdr.exact import fdp_pmf_histogram, fdr_sud
 from sudfdr.models import DiracZeroCdf, IdentityCdf, MixtureConfig, cdf_from_config
 from sudfdr.montecarlo import cross_validate, simulate_fdr
 from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import curve_from_config, from_rho
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1

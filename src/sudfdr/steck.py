@@ -11,6 +11,10 @@ pre-clamp value signals precision exhaustion.
 
 An exact-rational mode (Fraction arithmetic) is provided for the identity and
 Dirac-at-zero alternatives to calibrate double-precision error.
+
+The exact engine (sudfdr.exact) computes joint laws by a positive forward
+count and does not call these recursions; they are the independent oracle
+that its differential and rational tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ NEGATIVITY_LIMIT = -1e-6
 
 
 class PrecisionError(ArithmeticError):
-    """Raised when a recursion output is negative beyond numerical tolerance."""
+    """Raised when double precision is exhausted: an exact joint law fails
+    its mass check, or a recursion output is negative beyond tolerance."""
 
 
 def _check_thresholds(t: np.ndarray):

@@ -205,8 +205,8 @@ def test_criterion_06_structural_identities(capsys):
     for cfg in configs:
         su = joint_pmf(T10, cfg, "SU")
         sd = joint_pmf(T10, cfg, "SD")
-        fdr_su = math.fsum(j / k * v for (k, j), v in su.entries.items() if k >= 1)
-        fdr_sd = math.fsum(j / k * v for (k, j), v in sd.entries.items() if k >= 1)
+        fdr_su = math.fsum(j / k * su.masses[k, j] for k in range(1, 11) for j in range(k + 1))
+        fdr_sd = math.fsum(j / k * sd.masses[k, j] for k in range(1, 11) for j in range(k + 1))
         ok = ok and abs(fdr_sud(T10, 10, cfg).fdr - fdr_su) <= 1e-10
         ok = ok and abs(fdr_sud(T10, 1, cfg).fdr - fdr_sd) <= 1e-10
     pi0, F = 0.7, GaussianLocationCdf(1.0)

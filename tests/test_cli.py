@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from sudfdr.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, __version__, main
+import sudfdr
+from sudfdr import exact
+from sudfdr.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, __version__, main
+from sudfdr.steck import PrecisionError
 
 
 def _run(capsys, *argv):
@@ -163,3 +166,21 @@ def test_degenerate_bound_zeta(capsys):
     code, _, err = _run(capsys, "bound", "--set", "zeta=[0.999]", "--set", "m=[10]")
     assert code == EXIT_USAGE
     assert "degenerate" in err
+
+
+def test_precision_failure_exit_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise PrecisionError("mass check failed")
+
+    monkeypatch.setattr(exact, "sud_joint_masses", exhausted)
+    code, out, err = _run(capsys, "fdr-sweep", "--set", "lambdas=[4]")
+    assert code == EXIT_PRECISION == 2
+    assert "precision failure" in err
+    assert out == ""
+
+
+def test_version_flag_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == f"sudfdr {sudfdr.__version__}"

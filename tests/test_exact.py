@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sudfdr.exact import (
+    SUM_TOL,
+    JointPmf,
     fdp_cdf,
     fdp_mean,
     fdp_pmf_histogram,
@@ -24,6 +26,7 @@ from sudfdr.models import (
     StepAtOneCdf,
 )
 from sudfdr.montecarlo import cross_validate, simulate_fdr
+from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho
 
 T10 = from_rho(LinearCurve(0.5), 10)
@@ -35,6 +38,11 @@ def _fm(F, m=10, m0=7):
 
 def _rm(F, m=10, pi0=0.7):
     return MixtureConfig(model="RM", m=m, pi0=pi0, F=F)
+
+
+def _cells(pmf):
+    """(k, j, mass) over the triangle j <= k of the dense joint law."""
+    return [(k, j, float(pmf.masses[k, j])) for k in range(pmf.m + 1) for j in range(k + 1)]
 
 
 def test_all_null_su_m2_hand_table():
@@ -50,9 +58,7 @@ def test_dirac_sd_forces_minimum_rejections():
     # All m - m0 point-mass-at-zero p-values are rejected whenever t_1 > 0,
     # so |R| < m - m0 has zero probability under the step-down rule.
     pmf = joint_pmf(T10, _fm(DiracZeroCdf()), "SD")
-    for (k, j), v in pmf.entries.items():
-        if k < 3:
-            assert v == pytest.approx(0.0, abs=1e-12)
+    assert np.all(np.abs(pmf.masses[:3]) <= 1e-12)
 
 
 def test_joint_index_validation():
@@ -71,7 +77,7 @@ def test_joint_index_validation():
 def test_joint_tables_are_distributions(model_cfg, procedure):
     pmf = joint_pmf(T10, model_cfg, procedure)
     assert pmf.total() == pytest.approx(1.0, abs=1e-8)
-    assert all(v >= -1e-9 for v in pmf.entries.values())
+    assert pmf.masses.min() >= -1e-9
 
 
 @pytest.mark.parametrize("lam", [1, 4, 7, 10])
@@ -81,12 +87,30 @@ def test_sud_masses_are_distributions(lam):
         assert pmf.total() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_mass_check_raises_precision_error():
+    good = np.array([[0.5, 0.0], [0.25, 0.25]])
+    assert JointPmf(good, "FM", "SU").total() == 1.0
+    short = good.copy()
+    short[1, 1] -= 10 * SUM_TOL  # total misses 1 by more than SUM_TOL
+    with pytest.raises(PrecisionError):
+        JointPmf(short, "FM", "SU")
+    negative = good.copy()
+    negative[0, 0] += 0.5
+    negative[1, 0] -= 0.5  # sums to 1 with one mass below -SUM_TOL
+    with pytest.raises(PrecisionError):
+        JointPmf(negative, "RM", "SD")
+    undefined = good.copy()
+    undefined[1, 1] = np.nan
+    with pytest.raises(PrecisionError):
+        JointPmf(undefined, "FM", "SUD")
+
+
 def test_boundary_orders_match_pure_procedures():
     for cfg in (_fm(GaussianLocationCdf(1.0)), _rm(GaussianLocationCdf(1.0)), _fm(DiracZeroCdf())):
         su = joint_pmf(T10, cfg, "SU")
         sd = joint_pmf(T10, cfg, "SD")
-        fdr_su = math.fsum(j / k * v for (k, j), v in su.entries.items() if k >= 1)
-        fdr_sd = math.fsum(j / k * v for (k, j), v in sd.entries.items() if k >= 1)
+        fdr_su = math.fsum(j / k * v for k, j, v in _cells(su) if k >= 1)
+        fdr_sd = math.fsum(j / k * v for k, j, v in _cells(sd) if k >= 1)
         assert fdr_sud(T10, 10, cfg).fdr == pytest.approx(fdr_su, abs=1e-10)
         assert fdr_sud(T10, 1, cfg).fdr == pytest.approx(fdr_sd, abs=1e-10)
 
@@ -162,7 +186,7 @@ def test_fdp_cdf_includes_integer_boundary():
     # At x = 0.5, the (k=2, j=1) mass must be counted (weak inequality).
     cfg = _rm(GaussianLocationCdf(1.0))
     pmf = sud_joint_masses(T10, 10, cfg)
-    direct = math.fsum(v for (k, j), v in pmf.entries.items() if k == 0 or j <= 0.5 * k + 1e-12)
+    direct = math.fsum(v for k, j, v in _cells(pmf) if k == 0 or j <= 0.5 * k + 1e-12)
     assert fdp_cdf(T10, 10, cfg, 0.5) == pytest.approx(direct, abs=1e-12)
 
 
