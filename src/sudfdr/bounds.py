@@ -114,7 +114,12 @@ def epsilon_remainder(inputs: BoundInputs, y: float) -> float:
     fixed points plus the concentration tail."""
     if not 0.0 < y < 1.0:
         raise ValueError(f"y must be in (0,1), got {y}")
-    u_minus, u_plus = u_plus_minus(inputs)
+    return _epsilon(inputs, y, *u_plus_minus(inputs))
+
+
+def _epsilon(inputs: BoundInputs, y: float, u_minus: float, u_plus: float) -> float:
+    """epsilon_remainder with the fixed points already computed; the caller
+    has checked y."""
     rho = inputs.rho
     spread = (float(rho(u_plus)) - float(rho(u_minus))) / u_plus
     expo = (
@@ -132,8 +137,8 @@ def gap_bound_fm(inputs: BoundInputs) -> BoundResult:
     if inputs.m0 is None or not 0 < inputs.m0 < inputs.m:
         raise ValueError("fixed mixture bound needs 0 < m0 < m")
     u_minus, u_plus = u_plus_minus(inputs)
-    # nu = max_k |k/m - zeta| over two adjacent grid points is always > 0
-    eps = epsilon_remainder(inputs, inputs.nu)
+    # nu = max_k |k/m - zeta| over two adjacent grid points lies in (0, 1)
+    eps = _epsilon(inputs, inputs.nu, u_minus, u_plus)
     gap = inputs.m0 / inputs.m * eps
     return BoundResult(u_minus, u_plus, eps, gap, "FM", vacuous=gap >= 1.0)
 
@@ -144,7 +149,7 @@ def gap_bound_rm(inputs: BoundInputs) -> BoundResult:
     if inputs.gamma is None or not 0.0 < inputs.gamma < 1.0:
         raise ValueError("random mixture bound needs gamma in (0,1)")
     u_minus, u_plus = u_plus_minus(inputs)
-    eps = epsilon_remainder(inputs, inputs.gamma)
+    eps = _epsilon(inputs, inputs.gamma, u_minus, u_plus)
     tail = 4.0 * math.exp(-2.0 * inputs.m * _positive_part(inputs.gamma - 1.0 / inputs.m) ** 2)
     gap = inputs.zeta * eps + tail
     return BoundResult(u_minus, u_plus, eps, gap, "RM", vacuous=gap >= 1.0)

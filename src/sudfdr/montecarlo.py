@@ -5,6 +5,17 @@ and must stay simple.  Replicates are generated in fixed-size chunks, each
 chunk drawing from its own RNG stream derived from (seed, chunk index), so a
 run is bit-reproducible given (seed, n, config) no matter how the chunks are
 scheduled.  Chunk aggregates are combined with exact (fsum) accumulation.
+
+Each chunk is sorted once.  The SUD rule rejects exactly the k_hat smallest
+p-values: p_(k_hat) <= t_k_hat < p_(k_hat+1) in both of its branches, so no
+tie straddles the cut, and the false rejections V are the nulls among the
+k_hat smallest.  The sort therefore carries each p-value's null flag: every
+p lies in [+0.0, 1], so the int64 bit pattern of p orders like p and its top
+two bits are clear, and after a left shift the flag rides in its low bit
+through one in-place integer sort.  The result is two tables per chunk, the
+SUD rank of every replicate for every order and the running null count,
+from which V for any order lambda is one O(n) gather.  The sort consumes
+the sampled p-values in place.
 """
 
 from __future__ import annotations
@@ -64,63 +75,105 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _sample_chunk(rng, cfg: MixtureConfig, size: int):
-    """Draw `size` p-value families; returns (p, null_mask)."""
+    """Draw `size` p-value families; returns (p, null_mask).
+
+    Nulls keep their uniforms; the alternatives are transformed in place,
+    so only they pay for the inverse c.d.f.
+    """
     m = cfg.m
     if cfg.model == "FM":
         m0 = np.full(size, cfg.m0)
     else:
         m0 = rng.binomial(m, cfg.pi0, size)
-    u = rng.random((size, m))
+    p = rng.random((size, m))
     null_mask = np.arange(m)[None, :] < m0[:, None]
     kind = cfg.F.kind
     if kind == "identity":
-        p = u
-    elif kind == "dirac_zero":
-        p = np.where(null_mask, u, 0.0)
+        return p, null_mask
+    alt = ~null_mask
+    if kind == "dirac_zero":
+        p[alt] = 0.0
     elif kind == "step_at_one":
-        p = np.where(null_mask, u, 1.0)
+        p[alt] = 1.0
     elif kind == "gaussian":
         # inverse-c.d.f. transform of the same uniforms
-        p = np.where(null_mask, u, ndtr(ndtri(u) - cfg.F.mu))
+        x = p[alt]
+        ndtri(x, out=x)
+        x -= cfg.F.mu
+        p[alt] = ndtr(x, out=x)
     else:
         raise ValueError(f"unsupported alternative for sampling: {kind!r}")
     return p, null_mask
 
 
-def _selection_tables(below: np.ndarray):
-    """Per-replicate clearance summaries shared by every order lambda.
+def _chunk_tables(rng, cfg: MixtureConfig, size: int, t_arr: np.ndarray):
+    """Sample one chunk and sort it once, in place; returns (khat, nulls).
 
-    run[:, k] is the length of the consecutive-clearance streak starting at
-    rank k+1; prev[:, k] is the largest cleared rank at or before k+1 (0 if
-    none).  Together they reduce each lambda to two gathers.
+    khat is `_khat_table` of the clearance matrix; nulls[:, k] counts the
+    nulls among the k smallest p-values.  The null flag rides in the low bit
+    of the shifted int64 pattern of p (see the module docstring).
     """
-    size, m = below.shape
-    run = np.zeros((size, m), dtype=np.int32)
-    run[:, m - 1] = below[:, m - 1]
-    for k in range(m - 2, -1, -1):
-        run[:, k] = below[:, k] * (run[:, k + 1] + 1)
-    ranks = np.arange(1, m + 1, dtype=np.int32)
-    prev = np.maximum.accumulate(np.where(below, ranks[None, :], 0), axis=1)
-    return run, prev
+    p, null_mask = _sample_chunk(rng, cfg, size)
+    key = p.view(np.int64)
+    del p
+    key <<= 1
+    key |= null_mask
+    del null_mask
+    key.sort(axis=1)
+    flags = np.bitwise_and(key, 1, out=np.empty(key.shape, dtype=np.int8))
+    key >>= 1
+    below = key.view(np.float64) <= t_arr[None, :]
+    del key
+    nulls = np.zeros((size, cfg.m + 1), dtype=np.int32)
+    np.cumsum(flags, axis=1, dtype=np.int32, out=nulls[:, 1:])
+    return _khat_table(below), nulls
 
 
-def _khat_from_tables(below, run, prev, lam: int) -> np.ndarray:
-    return np.where(below[:, lam - 1], lam - 1 + run[:, lam - 1], prev[:, lam - 1])
+def _khat_table(below: np.ndarray) -> np.ndarray:
+    """khat[lam - 1] holds every replicate's SUD rank for the order lam,
+    from the clearance matrix below[:, k] = (p_(k+1) <= t_{k+1}).
+
+    If rank lam clears, the rule steps up through the streak of cleared
+    ranks from lam and stops before the first rank that does not clear;
+    otherwise it steps down to the largest cleared rank below lam (0 if
+    none).  Both scans run over contiguous rows of the transposed matrix.
+    """
+    cleared = np.ascontiguousarray(below.T)
+    blocked = ~cleared
+    m, size = cleared.shape
+    khat = np.empty((m, size), dtype=np.int32)
+    edge = np.full(size, m, dtype=np.int32)
+    for k in range(m - 1, -1, -1):  # edge: ranks k+1..edge all clear
+        np.copyto(edge, k, where=blocked[k])
+        khat[k] = edge
+    edge[:] = 0
+    for k in range(m):  # edge: the largest cleared rank <= k+1
+        np.copyto(edge, k + 1, where=cleared[k])
+        np.copyto(khat[k], edge, where=blocked[k])
+    return khat
 
 
-def _khat(below: np.ndarray, lam: int) -> np.ndarray:
-    """Vectorized SUD rank selection from the sorted clearance matrix."""
-    run, prev = _selection_tables(below)
-    return _khat_from_tables(below, run, prev, lam)
+def _orders(lambdas, m: int, n: int) -> list:
+    """The distinct orders in first-seen order, after checking that each
+    lies in [1, m] and that n >= 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    orders = list(dict.fromkeys(lambdas))
+    for lam in orders:
+        if not 1 <= lam <= m:
+            raise ValueError(f"lambda must be in [1, {m}], got {lam}")
+    return orders
 
 
-def _chunk_outcomes(p, null_mask, t_arr, lam):
-    """Per-replicate (khat, false rejections) for one chunk."""
-    below = np.sort(p, axis=1) <= t_arr[None, :]
-    khat = _khat(below, lam)
-    thr = np.where(khat > 0, t_arr[np.maximum(khat - 1, 0)], -1.0)
-    v = ((p <= thr[:, None]) & null_mask).sum(axis=1)
-    return khat, v
+def _outcomes(t: ThresholdCollection, orders: list, cfg: MixtureConfig, n: int, seed: int):
+    """Yield (lam, khat, v) per chunk and order: the rejections and false
+    rejections of every replicate, v gathered from the null counts."""
+    t_arr = t.as_array()
+    for index, size in _iter_chunks(n):
+        khat, nulls = _chunk_tables(_chunk_rng(seed, index), cfg, size, t_arr)
+        starts = np.arange(size) * nulls.shape[1]  # row starts in nulls.ravel()
+        for lam in orders:
+            yield lam, khat[lam - 1], nulls.ravel().take(starts + khat[lam - 1])
 
 
 def _iter_chunks(n: int):
@@ -150,28 +203,18 @@ def simulate_fdr_sweep(t: ThresholdCollection, lambdas, cfg: MixtureConfig, n: i
 
     Sharing the sampling and sorting pass across the lambda sweep keeps the
     dominant cost paid once; estimates for a given lambda are identical to a
-    standalone simulate_fdr call with the same seed.
+    standalone simulate_fdr call with the same seed.  A repeated order is
+    estimated once.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    t_arr = t.as_array()
-    thr_table = np.concatenate(([-1.0], t_arr))  # thr_table[khat] = t_khat
-    sums = {lam: [] for lam in lambdas}
-    sums_sq = {lam: [] for lam in lambdas}
-    for index, size in _iter_chunks(n):
-        p, null_mask = _sample_chunk(_chunk_rng(seed, index), cfg, size)
-        below = np.sort(p, axis=1) <= t_arr[None, :]
-        run, prev = _selection_tables(below)
-        null_p = np.where(null_mask, p, 2.0)  # sentinel above every threshold
-        for lam in lambdas:
-            khat = _khat_from_tables(below, run, prev, lam)
-            thr = thr_table[khat]
-            v = (null_p <= thr[:, None]).sum(axis=1)
-            fdp = v / np.maximum(khat, 1)
-            sums[lam].append(float(np.sum(fdp)))
-            sums_sq[lam].append(float(np.sum(fdp * fdp)))
+    orders = _orders(lambdas, t.m, n)
+    sums = {lam: [] for lam in orders}
+    sums_sq = {lam: [] for lam in orders}
+    for lam, khat, v in _outcomes(t, orders, cfg, n, seed):
+        fdp = v / np.maximum(khat, 1)
+        sums[lam].append(float(np.sum(fdp)))
+        sums_sq[lam].append(float(np.sum(fdp * fdp)))
     out = {}
-    for lam in lambdas:
+    for lam in orders:
         mean, se = _mean_se(math.fsum(sums[lam]), math.fsum(sums_sq[lam]), n)
         out[lam] = McEstimate(mean=mean, std_error=se, n_replicates=n, seed=seed)
     return out
@@ -182,15 +225,12 @@ def simulate_fdp_hist(
 ) -> McEstimate:
     """Binned FDP frequencies; bin i covers [i/bins, (i+1)/bins), the last
     bin holding the atom at 1.  Mirrors the exact histogram convention."""
-    if n < 1 or bins < 1:
-        raise ValueError("need n >= 1 and bins >= 1")
-    t_arr = t.as_array()
+    if bins < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
     counts = np.zeros(bins + 1, dtype=np.int64)
     total = []
     total_sq = []
-    for index, size in _iter_chunks(n):
-        p, null_mask = _sample_chunk(_chunk_rng(seed, index), cfg, size)
-        khat, v = _chunk_outcomes(p, null_mask, t_arr, lam)
+    for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
         fdp = v / np.maximum(khat, 1)
         idx = np.minimum(np.floor(fdp * bins + 1e-9).astype(np.int64), bins)
         counts += np.bincount(idx, minlength=bins + 1)
@@ -209,15 +249,9 @@ def simulate_kfwer(
     """Frequency of {at least k false rejections}."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    t_arr = t.as_array()
-    hits = []
-    for index, size in _iter_chunks(n):
-        p, null_mask = _sample_chunk(_chunk_rng(seed, index), cfg, size)
-        _, v = _chunk_outcomes(p, null_mask, t_arr, lam)
-        hits.append(int(np.sum(v >= k)))
-    n_hits = sum(hits)
+    n_hits = 0
+    for _, _, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
+        n_hits += int(np.sum(v >= k))
     mean, se = _mean_se(float(n_hits), float(n_hits), n)  # indicator: x^2 = x
     return McEstimate(mean=mean, std_error=se, n_replicates=n, seed=seed)
 
@@ -230,13 +264,11 @@ def simulate_joint_counts(
     With lam = m this samples the step-up joint law, with lam = 1 the
     step-down one.
     """
-    t_arr = t.as_array()
-    counts = np.zeros((t.m + 1, t.m + 1), dtype=np.int64)
-    for index, size in _iter_chunks(n):
-        p, null_mask = _sample_chunk(_chunk_rng(seed, index), cfg, size)
-        khat, v = _chunk_outcomes(p, null_mask, t_arr, lam)
-        np.add.at(counts, (khat, v), 1)
-    return counts
+    side = t.m + 1
+    counts = np.zeros(side * side, dtype=np.int64)
+    for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
+        counts += np.bincount(khat.astype(np.intp) * side + v, minlength=side * side)
+    return counts.reshape(side, side)
 
 
 def cross_validate(exact_value: float, mc: McEstimate, sigmas: float) -> VerdictReport:

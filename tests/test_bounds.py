@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sudfdr import bounds
 from sudfdr.bounds import (
     BoundInputs,
     aorc_feasible,
@@ -97,6 +98,26 @@ def test_fm_bound_structure():
     assert res.gap_bound == pytest.approx(0.7 * res.epsilon, abs=1e-12)
     assert res.gap_bound > 0
     assert res.vacuous == (res.gap_bound >= 1.0)
+
+
+def test_each_bound_computes_its_fixed_points_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return u_operator(*args)
+
+    monkeypatch.setattr(bounds, "u_operator", counting)
+    fm_in = _inputs(m=1000, m0=700, delta=0.05)
+    rm_in = _inputs(rho=AorcCurve(0.2), kappa=0.5, gamma=0.05, m0=None)
+    fm = gap_bound_fm(fm_in)
+    assert len(calls) == 2
+    calls.clear()
+    rm = gap_bound_rm(rm_in)
+    assert len(calls) == 2
+    # the remainder from the shared fixed points is the public one
+    assert fm.epsilon == epsilon_remainder(fm_in, fm_in.nu)
+    assert rm.epsilon == epsilon_remainder(rm_in, rm_in.gamma)
 
 
 def test_fm_bound_rejects_degenerate_m0():

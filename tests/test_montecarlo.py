@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from sudfdr.models import (
 )
 from sudfdr.montecarlo import (
     McEstimate,
+    _chunk_rng,
+    _outcomes,
+    _sample_chunk,
     config_hash,
     cross_validate,
     simulate_fdp_hist,
@@ -21,6 +25,7 @@ from sudfdr.montecarlo import (
     simulate_joint_counts,
     simulate_kfwer,
 )
+from sudfdr.procedures import sud_khat
 from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho
 
 T10 = from_rho(LinearCurve(0.5), 10)
@@ -57,6 +62,8 @@ def test_single_replicate_has_no_se():
 def test_n_validation():
     with pytest.raises(ValueError):
         simulate_fdr(T10, 5, _fm(IdentityCdf()), 0, seed=0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        simulate_joint_counts(T10, 5, _fm(IdentityCdf()), 0, seed=0)
 
 
 def test_all_null_su_matches_rejection_probability():
@@ -132,3 +139,104 @@ def test_config_hash_stability():
     h2 = config_hash(T10, 5, cfg)
     assert h1 == h2 and len(h1) == 12
     assert config_hash(T10, 6, cfg) != h1
+
+
+_GAUSS_FM = _fm(GaussianLocationCdf(1.0))
+
+
+@pytest.mark.parametrize("lam", [0, -3, 11])
+def test_every_entry_point_rejects_orders_outside_1_m(lam):
+    calls = [
+        lambda: simulate_fdr(T10, lam, _GAUSS_FM, 100, seed=0),
+        lambda: simulate_fdr_sweep(T10, [5, lam], _GAUSS_FM, 100, seed=0),
+        lambda: simulate_fdp_hist(T10, lam, _GAUSS_FM, 100, bins=4, seed=0),
+        lambda: simulate_kfwer(T10, lam, _GAUSS_FM, k=1, n=100, seed=0),
+        lambda: simulate_joint_counts(T10, lam, _GAUSS_FM, 100, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="lambda must be in"):
+            call()
+
+
+def test_sweep_counts_a_repeated_order_once():
+    twice = simulate_fdr_sweep(T10, [5, 5], _GAUSS_FM, 1000, seed=0)
+    once = simulate_fdr_sweep(T10, [5], _GAUSS_FM, 1000, seed=0)
+    assert list(twice) == [5]
+    assert (twice[5].mean, twice[5].std_error) == (once[5].mean, once[5].std_error)
+    assert 0.2 < once[5].mean < 0.5
+
+
+T_TIES = ThresholdCollection((0.0, 0.1, 0.1, 0.1, 0.3, 0.3, 0.5, 0.5, 0.8, 1.0))
+
+
+def _reference_outcomes(p, null_mask, t, lam):
+    """(khat, V) by rank selection on each family and a compare of every
+    null p-value against t_khat."""
+    t_arr = t.as_array()
+    khat = np.array([sud_khat(row, t, lam).k_hat for row in p])
+    thr = np.concatenate(([-1.0], t_arr))[khat]
+    null_p = np.where(null_mask, p, 2.0)  # sentinel above every threshold
+    return khat, (null_p <= thr[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("t", [T10, T_TIES], ids=["linear", "ties"])
+@pytest.mark.parametrize(
+    "F",
+    [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf(), StepAtOneCdf()],
+    ids=lambda F: F.kind,
+)
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_gather_matches_per_order_compare(t, F, model):
+    cfg = _fm(F) if model == "FM" else MixtureConfig(model="RM", m=10, pi0=0.6, F=F)
+    size, seed = 300, 17
+    p, null_mask = _sample_chunk(_chunk_rng(seed, 0), cfg, size)
+    orders = list(range(1, t.m + 1))
+    seen = set()
+    for lam, khat, v in _outcomes(t, orders, cfg, size, seed):
+        ref_khat, ref_v = _reference_outcomes(p, null_mask, t, lam)
+        np.testing.assert_array_equal(khat, ref_khat)
+        np.testing.assert_array_equal(v, ref_v)
+        seen.add(lam)
+    assert seen == set(orders)
+
+
+def test_outputs_equal_recorded_values():
+    # recorded with the per-order compare, before V became a gather
+    sweep = simulate_fdr_sweep(T10, [3, 10], _GAUSS_FM, 70_000, seed=11)[3]
+    assert sweep.mean == 0.32010875850340137
+    assert sweep.std_error == 0.001164001858355587
+    rm = MixtureConfig(model="RM", m=10, pi0=0.7, F=GaussianLocationCdf(1.0))
+    hist = simulate_fdp_hist(T10, 5, rm, 70_000, bins=4, seed=2)
+    assert hist.per_bin == (
+        (0.41687142857142856, 0.001863520633533071),
+        (0.17787142857142857, 0.0014453530634879878),
+        (0.26634285714285716, 0.0016707754384110594),
+        (0.058128571428571425, 0.0008843855058921251),
+        (0.08078571428571428, 0.0010299749140708042),
+    )
+    assert simulate_kfwer(T10, 5, _GAUSS_FM, k=2, n=70_000, seed=1).mean == 0.40755714285714284
+    t4 = from_rho(LinearCurve(0.5), 4)
+    rm4 = MixtureConfig(model="RM", m=4, pi0=0.5, F=GaussianLocationCdf(1.0))
+    counts = simulate_joint_counts(t4, 3, rm4, 70_000, seed=4)
+    assert counts.tolist() == [
+        [13338, 0, 0, 0, 0],
+        [9578, 2649, 0, 0, 0],
+        [7920, 6166, 1235, 0, 0],
+        [5012, 7313, 3682, 631, 0],
+        [2107, 4753, 4018, 1426, 172],
+    ]
+
+
+def test_sweep_peak_memory_is_bounded():
+    # in units of one float64 chunk: 1.56 with the packed sort, 3.64 with an
+    # argsort in its place and 3.43 with the former per-order compare
+    m, n = 100, 1 << 14
+    t = from_rho(LinearCurve(0.5), m)
+    cfg = MixtureConfig(model="FM", m=m, m0=70, F=GaussianLocationCdf(1.0))
+    tracemalloc.start()
+    try:
+        simulate_fdr_sweep(t, range(1, m + 1), cfg, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * m * 8
