@@ -47,10 +47,6 @@ from sudfdr.steck import psi, psi_two_pop, PsiTable, PrecisionError
 from sudfdr.exact import (
     JointPmf,
     FdrResult,
-    joint_su_rm,
-    joint_sd_rm,
-    joint_su_fm,
-    joint_sd_fm,
     joint_pmf,
     fdr_sud_fm,
     fdr_sud_rm,

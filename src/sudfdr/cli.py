@@ -26,7 +26,7 @@ import sys
 from sudfdr import __version__
 from sudfdr.bounds import BoundInputs, gap_bound_fm, gap_bound_rm
 from sudfdr.exact import fdp_pmf_histogram, fdr_sud
-from sudfdr.models import DiracZeroCdf, IdentityCdf, MixtureConfig, cdf_from_config
+from sudfdr.models import mixture_from_config
 from sudfdr.montecarlo import cross_validate, simulate_fdr
 from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import curve_from_config, from_rho
@@ -157,12 +157,6 @@ def _emit(args, cfg: dict, columns: list, rows: list):
         sys.stdout.write(text)
 
 
-def _mixture(cfg: dict, F) -> MixtureConfig:
-    if cfg["model"] == "FM":
-        return MixtureConfig(model="FM", m=int(cfg["m"]), m0=int(cfg["m0"]), F=F)
-    return MixtureConfig(model="RM", m=int(cfg["m"]), pi0=float(cfg["pi0"]), F=F)
-
-
 def _null_weight(cfg: dict):
     return cfg["m0"] if cfg["model"] == "FM" else cfg["pi0"]
 
@@ -193,11 +187,11 @@ def cmd_fdr_sweep(args) -> int:
     m = int(cfg["m"])
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
-    alts = [cdf_from_config(c) for c in cfg["alternatives"]]
+    model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in cfg["alternatives"]]
     rows = []
-    for F in sorted(alts, key=lambda F: F.kind):
+    for model_cfg in sorted(model_cfgs, key=lambda mc: mc.F.kind):
+        F = model_cfg.F
         mu = getattr(F, "mu", None)
-        model_cfg = _mixture(cfg, F)
         for lam in lams:
             res = fdr_sud(t, lam, model_cfg)
             rows.append(
@@ -248,7 +242,7 @@ def cmd_fdp_dist(args) -> int:
     m = int(cfg["m"])
     bins = int(cfg["bins"])
     t = from_rho(_curve(cfg), m)
-    model_cfg = _mixture(cfg, cdf_from_config(cfg["F"]))
+    model_cfg = mixture_from_config(cfg)
     masses = fdp_pmf_histogram(t, int(cfg["lambda"]), model_cfg, bins)
     rows = []
     for i, mass in enumerate(masses):
@@ -274,6 +268,8 @@ def cmd_bound(args) -> int:
             "gamma": None,
         },
     )
+    if cfg["model"] not in ("FM", "RM"):
+        raise ValueError(f"unknown model: {cfg['model']!r}")
     rho = _curve(cfg)
     kappa = float(cfg["kappa"])
     rows = []
@@ -334,14 +330,15 @@ def cmd_counterexample(args) -> int:
     t = from_rho(curve_from_config({"curve": "linear", "alpha": alpha}), m)
     critical = (4, 5, 6, 7)
     context = (1, 10)
-    identity, dirac = IdentityCdf(), DiracZeroCdf()
     lines = [f"sudfdr {__version__} counterexample check: m={m}, alpha={alpha}"]
     ok = True
     for model in ("FM", "RM"):
         base = {"model": model, "m": m, "m0": 7, "pi0": 0.7}
+        uniform = mixture_from_config({**base, "F": {"kind": "identity"}})
+        point_mass = mixture_from_config({**base, "F": {"kind": "dirac_zero"}})
         for lam in sorted(critical + context):
-            f_id = fdr_sud(t, lam, _mixture(base, identity)).fdr
-            f_du = fdr_sud(t, lam, _mixture(base, dirac)).fdr
+            f_id = fdr_sud(t, lam, uniform).fdr
+            f_du = fdr_sud(t, lam, point_mass).fdr
             if lam in critical:
                 good = f_id > f_du
                 ok = ok and good
@@ -390,8 +387,8 @@ def cmd_validate(args) -> int:
     all_pass = True
     case_index = 0
     for case in cfg["cases"]:
-        F = cdf_from_config(case["F"])
-        model_cfg = _mixture({"m": m, **case}, F)
+        model_cfg = mixture_from_config({"m": m, **case})
+        F = model_cfg.F
         for lam in lams:
             exact = fdr_sud(t, lam, model_cfg).fdr
             mc = simulate_fdr(t, lam, model_cfg, n, args.seed + case_index)

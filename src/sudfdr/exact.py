@@ -34,10 +34,6 @@ from sudfdr.thresholds import ThresholdCollection
 __all__ = [
     "JointPmf",
     "FdrResult",
-    "joint_su_rm",
-    "joint_sd_rm",
-    "joint_su_fm",
-    "joint_sd_fm",
     "joint_pmf",
     "sud_joint_masses",
     "fdr_sud_fm",
@@ -58,10 +54,6 @@ def _require_continuous(F: AlternativeCdf):
             "the point-mass-at-one distribution is only supported by the "
             "closed forms and the Monte-Carlo engine"
         )
-
-
-def _fm_j_range(m: int, m0: int, k: int):
-    return range(max(0, k - (m - m0)), min(m0, k) + 1)
 
 
 def _check_masses(masses: np.ndarray):
@@ -261,56 +253,6 @@ def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -
         return builder(t, Fv, cfg.m0)
     builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
     return builder(t, Fv, cfg.pi0)
-
-
-# ---------------------------------------------------------------------------
-# single-entry accessors (shared contract)
-# ---------------------------------------------------------------------------
-
-
-def _entry(procedure: str, t: ThresholdCollection, cfg: MixtureConfig, k: int, j: int) -> float:
-    _require_continuous(cfg.F)
-    arr = t.as_array()
-    return float(_masses(procedure, arr, cfg.F(arr), cfg)[k, j])
-
-
-def joint_su_rm(t: ThresholdCollection, k: int, j: int, pi0: float, F: AlternativeCdf) -> float:
-    """P(|R n nulls| = j, |R| = k) for R = SU(t) in RM(m, pi0, F)."""
-    _check_rm_indices(t.m, k, j)
-    return _entry("SU", t, MixtureConfig(model="RM", m=t.m, pi0=pi0, F=F), k, j)
-
-
-def joint_sd_rm(t: ThresholdCollection, k: int, j: int, pi0: float, F: AlternativeCdf) -> float:
-    """P(|R n nulls| = j, |R| = k) for R = SD(t) in RM(m, pi0, F)."""
-    _check_rm_indices(t.m, k, j)
-    return _entry("SD", t, MixtureConfig(model="RM", m=t.m, pi0=pi0, F=F), k, j)
-
-
-def joint_su_fm(t: ThresholdCollection, k: int, j: int, m0: int, F: AlternativeCdf) -> float:
-    """P(|R n nulls| = j, |R| = k) for R = SU(t) in FM(m, m0, F)."""
-    _check_fm_indices(t.m, m0, k, j)
-    return _entry("SU", t, MixtureConfig(model="FM", m=t.m, m0=m0, F=F), k, j)
-
-
-def joint_sd_fm(t: ThresholdCollection, k: int, j: int, m0: int, F: AlternativeCdf) -> float:
-    """P(|R n nulls| = j, |R| = k) for R = SD(t) in FM(m, m0, F)."""
-    _check_fm_indices(t.m, m0, k, j)
-    return _entry("SD", t, MixtureConfig(model="FM", m=t.m, m0=m0, F=F), k, j)
-
-
-def _check_rm_indices(m: int, k: int, j: int):
-    if not (0 <= k <= m and 0 <= j <= k):
-        raise ValueError(f"need 0 <= j <= k <= m, got k={k}, j={j}, m={m}")
-
-
-def _check_fm_indices(m: int, m0: int, k: int, j: int):
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}")
-    if j not in _fm_j_range(m, m0, k):
-        raise ValueError(
-            f"j={j} outside the admissible range "
-            f"[{max(0, k - (m - m0))}, {min(m0, k)}] for k={k}, m0={m0}, m={m}"
-        )
 
 
 def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:

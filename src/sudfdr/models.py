@@ -5,6 +5,11 @@ uniform (true nulls) and the remaining m - m0 are i.i.d. with c.d.f. F.  Under
 the random mixture model RM(m, pi0, F) the number of true nulls is first drawn
 as Binomial(m, pi0); unconditionally the p-values are i.i.d. with c.d.f.
 G(t) = pi0*t + (1 - pi0)*F(t).
+
+There is one sampling path, `sample_families`: every p-value starts as a
+uniform draw, and the alternatives' uniforms are mapped in place through
+the generalized inverse `F.quantile`.  The Monte-Carlo oracle and `sample`
+both draw through it.
 """
 
 from __future__ import annotations
@@ -23,24 +28,12 @@ __all__ = [
     "ReflectedCdf",
     "MixtureConfig",
     "PValueSample",
-    "eval_F",
     "eval_G",
+    "sample_families",
     "sample",
     "cdf_from_config",
     "mixture_from_config",
-    "normal_sf",
-    "normal_isf",
 ]
-
-
-def normal_sf(z):
-    """Upper tail of the standard normal, P(Z >= z)."""
-    return ndtr(-np.asarray(z, dtype=float))
-
-
-def normal_isf(t):
-    """Inverse of normal_sf."""
-    return -ndtri(np.asarray(t, dtype=float))
 
 
 class AlternativeCdf:
@@ -63,8 +56,9 @@ class AlternativeCdf:
         """C.d.f. of 1 - p when p has this c.d.f."""
         return ReflectedCdf(self)
 
-    def sample_p(self, rng: np.random.Generator, shape):
-        """Draw p-values with this distribution (sampling view)."""
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Generalized inverse inf{x : F(x) >= u} for u in (0, 1], applied in
+        place to the float array u of uniforms, which is returned."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -82,8 +76,8 @@ class IdentityCdf(AlternativeCdf):
     def reflected(self):
         return self
 
-    def sample_p(self, rng, shape):
-        return rng.random(shape)
+    def quantile(self, u):
+        return u
 
 
 class GaussianLocationCdf(AlternativeCdf):
@@ -108,8 +102,10 @@ class GaussianLocationCdf(AlternativeCdf):
         out = np.where(t >= 1.0, 1.0, out)
         return out if out.ndim else float(out)
 
-    def sample_p(self, rng, shape):
-        return normal_sf(rng.standard_normal(shape) + self.mu)
+    def quantile(self, u):
+        ndtri(u, out=u)
+        u -= self.mu
+        return ndtr(u, out=u)
 
     def to_config(self):
         return {"kind": "gaussian", "mu": self.mu}
@@ -118,7 +114,7 @@ class GaussianLocationCdf(AlternativeCdf):
 class DiracZeroCdf(AlternativeCdf):
     """Point mass at zero (infinitely strong signal).
 
-    Dual representation: sampling draws p = 0 exactly, while the c.d.f. used
+    Dual representation: the quantile is p = 0 exactly, while the c.d.f. used
     in the exact formulas is the limiting continuous representative F == 1
     (including F(0) = 1).
     """
@@ -133,8 +129,9 @@ class DiracZeroCdf(AlternativeCdf):
     def reflected(self):
         return StepAtOneCdf()
 
-    def sample_p(self, rng, shape):
-        return np.zeros(shape)
+    def quantile(self, u):
+        u.fill(0.0)
+        return u
 
 
 class StepAtOneCdf(AlternativeCdf):
@@ -155,8 +152,9 @@ class StepAtOneCdf(AlternativeCdf):
     def reflected(self):
         return DiracZeroCdf()
 
-    def sample_p(self, rng, shape):
-        return np.ones(shape)
+    def quantile(self, u):
+        u.fill(1.0)
+        return u
 
 
 class ReflectedCdf(AlternativeCdf):
@@ -172,9 +170,6 @@ class ReflectedCdf(AlternativeCdf):
         t = np.asarray(t, dtype=float)
         out = 1.0 - np.asarray(self.base(1.0 - t))
         return out if out.ndim else float(out)
-
-    def sample_p(self, rng, shape):
-        return 1.0 - self.base.sample_p(rng, shape)
 
 
 @dataclass(frozen=True)
@@ -216,11 +211,6 @@ class PValueSample:
     m0_realized: int
 
 
-def eval_F(F: AlternativeCdf, t):
-    """Evaluate the alternative c.d.f., validating the argument range."""
-    return F(t)
-
-
 def eval_G(cfg: MixtureConfig, t):
     """Mixed c.d.f. G(t) = pi0*t + (1 - pi0)*F(t) of the RM model."""
     if cfg.model != "RM":
@@ -230,21 +220,33 @@ def eval_G(cfg: MixtureConfig, t):
     return out if out.ndim else float(out)
 
 
-def _draw_family(rng: np.random.Generator, m: int, m0: int, F: AlternativeCdf) -> np.ndarray:
-    p = np.empty(m)
-    p[:m0] = rng.random(m0)
-    p[m0:] = F.sample_p(rng, m - m0)
-    return p
+def sample_families(rng: np.random.Generator, cfg: MixtureConfig, size: int):
+    """Draw `size` p-value families as rows; returns (p, null_mask).
+
+    Each row holds its nulls first, m0 of them in FM and Binomial(m, pi0) in
+    RM.  Nulls keep their uniforms; the alternatives' uniforms go through
+    F.quantile in place, so only they pay for the inverse c.d.f.  In FM they
+    are the trailing columns, which quantile transforms as one view.
+    """
+    m = cfg.m
+    if cfg.model == "FM":
+        m0 = np.full(size, cfg.m0)
+    else:
+        m0 = rng.binomial(m, cfg.pi0, size)
+    p = rng.random((size, m))
+    null_mask = np.arange(m)[None, :] < m0[:, None]
+    if cfg.model == "FM":
+        cfg.F.quantile(p[:, cfg.m0:])
+    else:
+        alt = ~null_mask
+        p[alt] = cfg.F.quantile(p[alt])
+    return p, null_mask
 
 
 def sample(cfg: MixtureConfig, seed: int) -> PValueSample:
     """Draw one p-value family; deterministic given (cfg, seed)."""
-    rng = np.random.default_rng(seed)
-    if cfg.model == "FM":
-        m0 = cfg.m0
-    else:
-        m0 = int(rng.binomial(cfg.m, cfg.pi0))
-    return PValueSample(p=_draw_family(rng, cfg.m, m0, cfg.F), m0_realized=m0)
+    p, null_mask = sample_families(np.random.default_rng(seed), cfg, 1)
+    return PValueSample(p=p[0], m0_realized=int(null_mask[0].sum()))
 
 
 def cdf_from_config(cfg: dict) -> AlternativeCdf:

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from sudfdr.models import MixtureConfig
+from sudfdr.models import MixtureConfig, sample_families
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -74,38 +73,6 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _sample_chunk(rng, cfg: MixtureConfig, size: int):
-    """Draw `size` p-value families; returns (p, null_mask).
-
-    Nulls keep their uniforms; the alternatives are transformed in place,
-    so only they pay for the inverse c.d.f.
-    """
-    m = cfg.m
-    if cfg.model == "FM":
-        m0 = np.full(size, cfg.m0)
-    else:
-        m0 = rng.binomial(m, cfg.pi0, size)
-    p = rng.random((size, m))
-    null_mask = np.arange(m)[None, :] < m0[:, None]
-    kind = cfg.F.kind
-    if kind == "identity":
-        return p, null_mask
-    alt = ~null_mask
-    if kind == "dirac_zero":
-        p[alt] = 0.0
-    elif kind == "step_at_one":
-        p[alt] = 1.0
-    elif kind == "gaussian":
-        # inverse-c.d.f. transform of the same uniforms
-        x = p[alt]
-        ndtri(x, out=x)
-        x -= cfg.F.mu
-        p[alt] = ndtr(x, out=x)
-    else:
-        raise ValueError(f"unsupported alternative for sampling: {kind!r}")
-    return p, null_mask
-
-
 def _chunk_tables(rng, cfg: MixtureConfig, size: int, t_arr: np.ndarray):
     """Sample one chunk and sort it once, in place; returns (khat, nulls).
 
@@ -113,7 +80,7 @@ def _chunk_tables(rng, cfg: MixtureConfig, size: int, t_arr: np.ndarray):
     nulls among the k smallest p-values.  The null flag rides in the low bit
     of the shifted int64 pattern of p (see the module docstring).
     """
-    p, null_mask = _sample_chunk(rng, cfg, size)
+    p, null_mask = sample_families(rng, cfg, size)
     key = p.view(np.int64)
     del p
     key <<= 1

@@ -104,10 +104,9 @@ def fdp(outcome: SudOutcome, m0: int) -> float:
     return false_rejections / max(len(outcome.rejected), 1)
 
 
-def _u_grid_scan(tau: float, G: EmpiricalCdf, rho) -> float:
-    """Exact evaluation on step functions: any solution is a fixed point of
-    G o rho, hence lies on the grid {0, 1/m, ..., 1}."""
-    m = G.m
+def _u_grid_scan(tau: float, G, rho, m: int) -> float:
+    """Exact evaluation on step functions with values in {0, 1/m, ..., 1}:
+    any solution is a fixed point of G o rho, hence lies on that grid."""
     grid = np.arange(m + 1) / m
     vals = np.asarray(G(rho(grid)))
     k_tau = round(tau * m) if abs(tau * m - round(tau * m)) < 1e-9 else None
@@ -182,7 +181,7 @@ def u_operator(tau: float, G, rho) -> float:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if isinstance(G, EmpiricalCdf):
-        return _u_grid_scan(tau, G, rho)
+        return _u_grid_scan(tau, G, rho, G.m)
     return _u_smooth(tau, G, rho)
 
 
@@ -197,14 +196,6 @@ def check_sandwich(p, rho: CriticalValueFunction, m: int, lam: int) -> bool:
     def g_upper(x):
         return np.minimum(np.asarray(ghat(x)) + 1.0 / m, 1.0)
 
-    class _UpperStep(EmpiricalCdf):
-        def __init__(self, base):
-            self.sorted = base.sorted
-            self.m = base.m
-
-        def __call__(self, x):
-            return g_upper(x)
-
-    upper = _u_grid_scan(lam / m, _UpperStep(ghat), rho)
+    upper = _u_grid_scan(lam / m, g_upper, rho, m)
     k_over_m = out.k_hat / m
     return lower <= k_over_m + 1e-12 and k_over_m <= upper + 1e-12

@@ -134,6 +134,23 @@ def test_validate_small_grid(capsys):
     assert abs(row["z"]) <= 4.0
 
 
+@pytest.mark.parametrize("command", ["fdr-sweep", "fdp-dist", "bound"])
+@pytest.mark.parametrize("model", ["fm", "XX"])
+def test_unknown_model_is_usage_error(capsys, command, model):
+    code, out, err = _run(capsys, command, "--set", f"model={model}")
+    assert code == EXIT_USAGE
+    assert "unknown model" in err
+    assert out == ""
+
+
+def test_validate_unknown_model_is_usage_error(capsys):
+    cases = json.dumps([{"model": "XX", "pi0": 0.7, "F": {"kind": "identity"}}])
+    code, out, err = _run(capsys, "validate", "--n", "100", "--set", f"cases={cases}")
+    assert code == EXIT_USAGE
+    assert "unknown model" in err
+    assert out == ""
+
+
 def test_empty_lambda_set_is_usage_error(capsys):
     code, _, err = _run(capsys, "fdr-sweep", "--set", "lambdas=[]")
     assert code == EXIT_USAGE

@@ -13,8 +13,6 @@ from sudfdr.exact import (
     fdr_sud_fm,
     fdr_sud_rm,
     joint_pmf,
-    joint_sd_fm,
-    joint_su_fm,
     step_at_one_closed_forms,
     sud_joint_masses,
 )
@@ -49,9 +47,10 @@ def test_all_null_su_m2_hand_table():
     # Two uniforms, step-up with t = (0.25, 0.5): k=2 iff both below 0.5;
     # k=1 iff the minimum is below 0.25 and the maximum above 0.5.
     t = ThresholdCollection((0.25, 0.5))
-    assert joint_su_fm(t, 2, 2, 2, IdentityCdf()) == pytest.approx(0.25, abs=1e-12)
-    assert joint_su_fm(t, 1, 1, 2, IdentityCdf()) == pytest.approx(2 * 0.25 * 0.5, abs=1e-12)
-    assert joint_su_fm(t, 0, 0, 2, IdentityCdf()) == pytest.approx(0.5, abs=1e-12)
+    pmf = joint_pmf(t, _fm(IdentityCdf(), m=2, m0=2), "SU")
+    assert pmf.get(2, 2) == pytest.approx(0.25, abs=1e-12)
+    assert pmf.get(1, 1) == pytest.approx(2 * 0.25 * 0.5, abs=1e-12)
+    assert pmf.get(0, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dirac_sd_forces_minimum_rejections():
@@ -62,10 +61,6 @@ def test_dirac_sd_forces_minimum_rejections():
 
 
 def test_joint_index_validation():
-    with pytest.raises(ValueError):
-        joint_su_fm(T10, 5, 5, 3, IdentityCdf())  # j > m0
-    with pytest.raises(ValueError):
-        joint_sd_fm(T10, 2, 0, 9, IdentityCdf())  # j below k-(m-m0)
     with pytest.raises(ValueError):
         joint_pmf(T10, _fm(StepAtOneCdf()), "SU")
     with pytest.raises(ValueError):

@@ -9,11 +9,8 @@ from sudfdr.models import (
     MixtureConfig,
     StepAtOneCdf,
     cdf_from_config,
-    eval_F,
     eval_G,
     mixture_from_config,
-    normal_isf,
-    normal_sf,
     sample,
 )
 
@@ -22,25 +19,25 @@ PHI_HALF = 0.6914624612740131
 
 
 def test_eval_f_identity():
-    assert eval_F(IdentityCdf(), 0.3) == 0.3
+    assert IdentityCdf()(0.3) == 0.3
 
 
 def test_eval_f_dirac():
-    assert eval_F(DiracZeroCdf(), 0.001) == 1.0
-    assert eval_F(DiracZeroCdf(), 0.0) == 1.0
+    assert DiracZeroCdf()(0.001) == 1.0
+    assert DiracZeroCdf()(0.0) == 1.0
 
 
 def test_eval_f_gaussian_location():
     F = GaussianLocationCdf(0.5)
-    assert eval_F(F, 0.5) == pytest.approx(PHI_HALF, abs=1e-12)
+    assert F(0.5) == pytest.approx(PHI_HALF, abs=1e-12)
     assert F(0.0) == 0.0 and F(1.0) == 1.0
 
 
 def test_eval_f_range_check():
     with pytest.raises(ValueError):
-        eval_F(IdentityCdf(), 1.2)
+        IdentityCdf()(1.2)
     with pytest.raises(ValueError):
-        eval_F(GaussianLocationCdf(1.0), -0.1)
+        GaussianLocationCdf(1.0)(-0.1)
 
 
 def test_gaussian_requires_positive_mu():
@@ -88,14 +85,24 @@ def test_dominates_uniform_and_concave(F):
     assert np.all(second_diff <= 1e-9)
 
 
-def test_normal_roundtrip():
-    # Upper tail: survival values are well-resolved doubles.
-    z = np.linspace(0.0, 6.0, 61)
-    assert np.max(np.abs(normal_isf(normal_sf(z)) - z)) <= 1e-9
-    # Deep left tail: sf(z) ~ 1 - 1e-9 quantizes at ~2e-8 in z; this is the
-    # double-precision floor, not an implementation artifact.
-    z = np.linspace(-6.0, 0.0, 61)
-    assert np.max(np.abs(normal_isf(normal_sf(z)) - z)) <= 2e-8
+@pytest.mark.parametrize(
+    "F",
+    [IdentityCdf(), GaussianLocationCdf(0.5), GaussianLocationCdf(1.0), GaussianLocationCdf(3.0),
+     DiracZeroCdf(), StepAtOneCdf()],
+    ids=lambda F: f"{F.kind}{getattr(F, 'mu', '')}",
+)
+def test_quantile_is_generalized_inverse(F):
+    u = np.arange(1, 10**4 + 1) / 10**4
+    q = F.quantile(u.copy())
+    assert np.all(np.diff(q) >= 0.0)
+    Fq = np.asarray(F(q))
+    assert np.all(Fq >= u - 1e-12)
+    if F.kind == "gaussian":
+        assert np.max(np.abs(Fq - u)) <= 1e-12
+    # the infimum: q(u) lies at or below every grid point x with F(x) >= u
+    x = np.linspace(0.0, 1.0, 1001)
+    first = x[np.searchsorted(np.asarray(F(x)), u, side="left")]
+    assert np.all(q <= first + 1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=0.1, max_value=5.0))

@@ -11,12 +11,12 @@ from sudfdr.models import (
     IdentityCdf,
     MixtureConfig,
     StepAtOneCdf,
+    sample_families,
 )
 from sudfdr.montecarlo import (
     McEstimate,
     _chunk_rng,
     _outcomes,
-    _sample_chunk,
     config_hash,
     cross_validate,
     simulate_fdp_hist,
@@ -189,7 +189,7 @@ def _reference_outcomes(p, null_mask, t, lam):
 def test_gather_matches_per_order_compare(t, F, model):
     cfg = _fm(F) if model == "FM" else MixtureConfig(model="RM", m=10, pi0=0.6, F=F)
     size, seed = 300, 17
-    p, null_mask = _sample_chunk(_chunk_rng(seed, 0), cfg, size)
+    p, null_mask = sample_families(_chunk_rng(seed, 0), cfg, size)
     orders = list(range(1, t.m + 1))
     seen = set()
     for lam, khat, v in _outcomes(t, orders, cfg, size, seed):

@@ -35,7 +35,7 @@ def _mc_noncrossing(t, k0, F, n, seed):
         x = np.empty((size, k))
         x[:, :k0] = rng.random((size, k0))
         if k - k0:
-            x[:, k0:] = F.sample_p(rng, (size, k - k0))
+            x[:, k0:] = F.quantile(rng.random((size, k - k0)))
         x.sort(axis=1)
         hits += int(np.sum(np.all(x <= t[None, :], axis=1)))
         done += size
