@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from sudfdr.procedures import u_operator
 from sudfdr.thresholds import CriticalValueFunction
 
@@ -68,7 +70,7 @@ class BoundInputs:
         return max(abs((self.m0 - 1) / self.m - self.zeta), abs(self.m0 / self.m - self.zeta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     u_minus: float
     u_plus: float
@@ -80,7 +82,7 @@ class BoundResult:
 
 def du_limit_cdf(zeta: float):
     """Limiting p-value c.d.f. of the Dirac-uniform configuration:
-    x -> (1 - zeta) + zeta * x."""
+    x -> (1 - zeta) + zeta * x, on floats and float arrays."""
 
     def g(x):
         return (1.0 - zeta) + zeta * x
@@ -95,10 +97,10 @@ def u_plus_minus(inputs: BoundInputs) -> tuple:
     d = inputs.delta
 
     def g_plus(x):
-        return min(g(x) + d, 1.0)
+        return np.minimum(g(x) + d, 1.0)
 
     def g_minus(x):
-        return max(g(x) - d, 0.0)
+        return np.maximum(g(x) - d, 0.0)
 
     u_plus = u_operator(inputs.kappa, g_plus, inputs.rho)
     u_minus = u_operator(inputs.kappa, g_minus, inputs.rho)
@@ -155,7 +157,7 @@ def gap_bound_rm(inputs: BoundInputs) -> BoundResult:
     return BoundResult(u_minus, u_plus, eps, gap, "RM", vacuous=gap >= 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizedDelta:
     delta: float
     bound: BoundResult

@@ -433,7 +433,10 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"sud: precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"sud: error: missing config key {exc.args[0]!r}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"sud: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -97,11 +97,14 @@ class FdrResult:
     """Exact FDR of one SUD order, split into its step-up (k < lambda) and
     step-down (k >= lambda) parts."""
 
-    fdr: float
     su_component: float
     sd_component: float
     cfg: MixtureConfig
     lam: int
+
+    @property
+    def fdr(self) -> float:
+        return self.su_component + self.sd_component
 
     @property
     def config(self) -> dict:
@@ -304,7 +307,7 @@ def fdr_sud(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> FdrResult:
     terms = _fdp_values(t.m) * sud_joint_masses(t, lam, cfg).masses
     su_sum = math.fsum(terms[1:lam].ravel().tolist())
     sd_sum = math.fsum(terms[lam:].ravel().tolist())
-    return FdrResult(su_sum + sd_sum, su_sum, sd_sum, cfg, lam)
+    return FdrResult(su_sum, sd_sum, cfg, lam)
 
 
 def fdr_sud_fm(t: ThresholdCollection, lam: int, m0: int, F: AlternativeCdf) -> FdrResult:

@@ -113,31 +113,29 @@ def _u_grid_scan(tau: float, G, rho, m: int) -> float:
     g_tau = float(G(rho(tau)))
     if g_tau >= tau:
         start = k_tau if k_tau is not None else int(np.ceil(tau * m - 1e-12))
-        for k in range(start, m + 1):
-            if vals[k] <= grid[k] + 1e-15:
-                return grid[k]
-        return 1.0
+        idx = np.nonzero(vals[start:] <= grid[start:] + 1e-15)[0]
+        return grid[start + idx[0]] if len(idx) else 1.0
     stop = k_tau if k_tau is not None else int(np.floor(tau * m + 1e-12))
-    for k in range(stop, -1, -1):
-        if vals[k] >= grid[k] - 1e-15:
-            return grid[k]
-    return 0.0
+    idx = np.nonzero(vals[: stop + 1] >= grid[: stop + 1] - 1e-15)[0]
+    return grid[idx[-1]] if len(idx) else 0.0
 
 
 def _u_smooth(tau: float, G, rho, tol: float = 1e-12) -> float:
-    """Scan-and-bisect solver for nondecreasing continuous G."""
+    """Scan-and-bisect solver for nondecreasing continuous G: one array
+    evaluation of G o rho on a 4096-point grid brackets the crossing, and
+    scalar bisection narrows the bracket to tol."""
 
     def h(u):
         return float(G(float(rho(u)))) - u
 
     n_scan = 4096
-    if h(tau) >= 0.0:
+    h_tau = h(tau)
+    if h_tau >= 0.0:
         # min{u in [tau, 1] : G(rho(u)) <= u}
-        if h(tau) == 0.0:
+        if h_tau == 0.0:
             return tau
         us = np.linspace(tau, 1.0, n_scan)
-        hs = np.array([h(u) for u in us])
-        idx = np.nonzero(hs <= 0.0)[0]
+        idx = np.nonzero(G(rho(us)) - us <= 0.0)[0]
         if len(idx) == 0:
             return 1.0
         i = idx[0]
@@ -153,8 +151,7 @@ def _u_smooth(tau: float, G, rho, tol: float = 1e-12) -> float:
         return float(hi)
     # max{u in [0, tau] : G(rho(u)) >= u}
     us = np.linspace(0.0, tau, n_scan)
-    hs = np.array([h(u) for u in us])
-    idx = np.nonzero(hs >= 0.0)[0]
+    idx = np.nonzero(G(rho(us)) - us >= 0.0)[0]
     if len(idx) == 0:
         return 0.0
     i = idx[-1]
@@ -177,6 +174,12 @@ def u_operator(tau: float, G, rho) -> float:
     otherwise the largest u <= tau with G(rho(u)) >= u.  Step functions
     (EmpiricalCdf) are handled exactly on their value grid; smooth G uses
     bisection to 1e-12.
+
+    G and rho are called on float64 arrays as well as on floats, and must
+    return an array of the same shape (or a value that broadcasts to it)
+    that equals their elementwise value: the solvers evaluate G(rho(u)) on
+    a whole grid of u at once.  Every curve in `sudfdr.thresholds` does,
+    `CustomCurve` by mapping its function over the array.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")

@@ -94,7 +94,11 @@ class AorcCurve(CriticalValueFunction):
 
 
 class CustomCurve(CriticalValueFunction):
-    """User-supplied critical value function; monotonicity is checked on a grid."""
+    """User-supplied critical value function; monotonicity is checked on a grid.
+
+    func is only ever called on one float, so it may use scalar-only code
+    such as `math.pow`; an array argument is mapped over elementwise.
+    """
 
     kind = "custom"
 
@@ -106,6 +110,9 @@ class CustomCurve(CriticalValueFunction):
             raise ValueError(f"invalid critical value function: {reason}")
 
     def __call__(self, u):
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)
+            return np.fromiter(map(self.func, u.ravel().tolist()), float, u.size).reshape(u.shape)
         return self.func(u)
 
 

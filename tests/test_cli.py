@@ -173,6 +173,13 @@ def test_bad_config_file(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_missing_config_key_is_named(capsys):
+    # the defaults carry m0 but no pi0, which RM needs
+    code, _, err = _run(capsys, "fdr-sweep", "--set", "model=RM")
+    assert code == EXIT_USAGE
+    assert "missing config key 'pi0'" in err
+
+
 def test_malformed_set_flag(capsys):
     code, _, err = _run(capsys, "fdr-sweep", "--set", "novalue")
     assert code == EXIT_USAGE

@@ -1,15 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sudfdr.bounds import du_limit_cdf
 from sudfdr.procedures import (
     EmpiricalCdf,
+    _u_grid_scan,
     check_sandwich,
     fdp,
     sud_khat,
     u_operator,
 )
-from sudfdr.thresholds import AorcCurve, LinearCurve, from_rho, sd_part, su_part
+from sudfdr.thresholds import (
+    AorcCurve,
+    CriticalValueFunction,
+    CustomCurve,
+    LinearCurve,
+    from_rho,
+    sd_part,
+    su_part,
+)
 
 
 def _reference_su(p, t):
@@ -201,3 +213,163 @@ def test_empirical_cdf_steps():
     assert g(0.1) == 0.25
     assert g(0.4) == 0.75
     assert g(1.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the u_operator solvers against their scalar reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_u_smooth(tau, G, rho, tol=1e-12):
+    """Scan-and-bisect with one scalar G(rho(u)) call per scan point."""
+
+    def h(u):
+        return float(G(float(rho(u)))) - u
+
+    n_scan = 4096
+    if h(tau) >= 0.0:
+        if h(tau) == 0.0:
+            return tau
+        us = np.linspace(tau, 1.0, n_scan)
+        hs = np.array([h(u) for u in us])
+        idx = np.nonzero(hs <= 0.0)[0]
+        if len(idx) == 0:
+            return 1.0
+        i = idx[0]
+        if i == 0:
+            return float(us[0])
+        lo, hi = us[i - 1], us[i]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if h(mid) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return float(hi)
+    us = np.linspace(0.0, tau, n_scan)
+    hs = np.array([h(u) for u in us])
+    idx = np.nonzero(hs >= 0.0)[0]
+    if len(idx) == 0:
+        return 0.0
+    i = idx[-1]
+    if i == n_scan - 1:
+        return float(us[-1])
+    lo, hi = us[i], us[i + 1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if h(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def _reference_u_grid_scan(tau, G, rho, m):
+    """Grid solver walking the value grid one point at a time."""
+    grid = np.arange(m + 1) / m
+    vals = np.asarray(G(rho(grid)))
+    k_tau = round(tau * m) if abs(tau * m - round(tau * m)) < 1e-9 else None
+    g_tau = float(G(rho(tau)))
+    if g_tau >= tau:
+        start = k_tau if k_tau is not None else int(np.ceil(tau * m - 1e-12))
+        for k in range(start, m + 1):
+            if vals[k] <= grid[k] + 1e-15:
+                return grid[k]
+        return 1.0
+    stop = k_tau if k_tau is not None else int(np.floor(tau * m + 1e-12))
+    for k in range(stop, -1, -1):
+        if vals[k] >= grid[k] - 1e-15:
+            return grid[k]
+    return 0.0
+
+
+def _perturbed(zeta, delta, sign):
+    """g_plus (sign +1) or g_minus (sign -1) of the gap bound, array-capable."""
+    g = du_limit_cdf(zeta)
+    if sign > 0:
+        return lambda x: np.minimum(g(x) + delta, 1.0)
+    return lambda x: np.maximum(g(x) - delta, 0.0)
+
+
+class _Counting:
+    """Wraps G and counts its calls."""
+
+    def __init__(self, G):
+        self.G = G
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.G(x)
+
+
+SMOOTH_CASES = [
+    (rho, zeta, delta, kappa, sign)
+    for rho in (LinearCurve(0.05), LinearCurve(0.5), AorcCurve(0.2))
+    for zeta in (0.6, 0.8)
+    for delta in (0.05, 0.2)
+    for kappa in (0.0, 0.3, 0.5, 1.0)
+    for sign in (1, -1)
+]
+
+
+def test_smooth_u_operator_equals_scalar_reference():
+    for rho, zeta, delta, kappa, sign in SMOOTH_CASES:
+        G = _perturbed(zeta, delta, sign)
+        assert u_operator(kappa, G, rho) == _reference_u_smooth(kappa, G, rho), (
+            rho.kind, rho.alpha, zeta, delta, kappa, sign)
+
+
+def test_smooth_u_operator_ends_equal_scalar_reference():
+    linear = LinearCurve(0.5)
+    # h(tau) == 0: g_minus(0) = 1 - 0.75 - 0.25 is exactly 0
+    G = _perturbed(0.75, 0.25, -1)
+    assert u_operator(0.0, G, linear) == _reference_u_smooth(0.0, G, linear) == 0.0
+    assert u_operator(1.0, lambda x: x, AorcCurve(0.3)) == 1.0
+    # no crossing above tau: G(rho(u)) > u on all of [tau, 1]
+    above = lambda x: x * 0.0 + 1.2  # noqa: E731
+    assert u_operator(0.4, above, linear) == _reference_u_smooth(0.4, above, linear) == 1.0
+    # no crossing below tau: G(rho(u)) < u on all of [0, tau]
+    below = lambda x: x - 0.1  # noqa: E731
+    assert u_operator(0.6, below, linear) == _reference_u_smooth(0.6, below, linear) == 0.0
+
+
+def test_grid_u_operator_equals_scalar_reference():
+    rng = np.random.default_rng(2024)
+    for rho in (LinearCurve(0.5), AorcCurve(0.2)):
+        for m in (2, 7, 10, 33):
+            for _ in range(20):
+                ghat = EmpiricalCdf(rng.random(m) ** 3)
+                taus = [k / m for k in range(m + 1)] + [float(x) for x in rng.random(3)]
+                for tau in taus:
+                    assert u_operator(tau, ghat, rho) == _reference_u_grid_scan(tau, ghat, rho, m)
+
+                    def g_upper(x):
+                        return np.minimum(np.asarray(ghat(x)) + 1.0 / m, 1.0)
+
+                    assert _u_grid_scan(tau, g_upper, rho, m) == _reference_u_grid_scan(
+                        tau, g_upper, rho, m)
+
+
+def test_smooth_scan_evaluates_g_on_arrays():
+    # the 4096-point scan is one call; h(tau) and the bisection add ~30 more
+    for rho, zeta, delta, kappa, sign in SMOOTH_CASES:
+        G = _Counting(_perturbed(zeta, delta, sign))
+        u_operator(kappa, G, rho)
+        assert G.calls <= 64
+
+
+class _HalfSquare(CriticalValueFunction):
+    """rho(u) = u^2 / 2, evaluated natively on arrays."""
+
+    def __call__(self, u):
+        return 0.5 * np.square(u)
+
+
+def test_scalar_only_custom_curve():
+    scalar_only = CustomCurve(lambda u: 0.5 * math.pow(u, 2))
+    G = du_limit_cdf(0.7)
+    u = u_operator(0.3, G, scalar_only)
+    assert u == u_operator(0.3, G, _HalfSquare())
+    assert u == _reference_u_smooth(0.3, G, scalar_only)
+    assert u == pytest.approx(0.3406038, abs=1e-6)

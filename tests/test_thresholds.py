@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +135,15 @@ def test_custom_curve_rejects_decreasing_ratio():
 def test_custom_curve_rejects_nonmonotone():
     with pytest.raises(ValueError):
         CustomCurve(lambda u: 0.5 * u * (1.0 - u))
+
+
+def test_custom_curve_maps_scalar_function_over_arrays():
+    rho = CustomCurve(lambda u: 0.5 * math.pow(u, 2))
+    u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    out = rho(u)
+    assert out.shape == (3, 4) and out.dtype == float
+    assert out.tolist() == [[rho(x) for x in row] for row in u.tolist()]
+    assert rho(0.5) == 0.125
 
 
 def test_curve_from_config_roundtrip():
