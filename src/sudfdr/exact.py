@@ -15,6 +15,19 @@ combination of a step-up run on the capped collection (t_lambda ^ t_j)_j
 (t_lambda v t_j)_j (ranks k >= lambda); the two cases partition the
 probability space.
 
+The floored collection is tied at t_lambda up to step lambda, so its count
+starts there: one jump moves every point from above 0 to above t_lambda,
+giving the product state Bin(m0, 1 - t_lambda) x Bin(m1, 1 - F(t_lambda)),
+and the states that would have left at the tied steps are cut.  The
+reflected capped collection likewise starts at step m - lambda + 1.  The
+row-normalized binomial kernels of consecutive moving steps are built in
+one batched expression of at most about 2^15 entries (one kernel at a time
+once a kernel is that large), and each batch is used up before the next is
+built.  In the FM state P[r0, r1] each exit anti-diagonal r0 + r1 = m - i + 1
+is read and cleared through a strided slice of the C-contiguous array; the
+RM null moves work on a skewed view of the (n0, r) state that indexes it by
+(n1, r).
+
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
 """
@@ -25,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln, xlogy
 
 from sudfdr.models import AlternativeCdf, MixtureConfig
@@ -116,6 +130,8 @@ class FdrResult:
 # forward-count kernel
 # ---------------------------------------------------------------------------
 
+_BATCH_ENTRIES = 1 << 15  # kernel entries built at once
+
 
 def _log_comb(n: int) -> np.ndarray:
     """log C(r, s) for r, s = 0..n; -inf where s > r."""
@@ -127,26 +143,52 @@ def _log_comb(n: int) -> np.ndarray:
 def _normalized_exp(log_masses: np.ndarray) -> np.ndarray:
     """exp of a table of log-masses, each row renormalized to sum to 1."""
     B = np.exp(log_masses, out=log_masses)
-    B /= B.sum(axis=1, keepdims=True)
+    B /= B.sum(axis=-1, keepdims=True)
     return B
 
 
-def _binomial_rows(log_comb: np.ndarray, n: int, drop: float, stay: float) -> np.ndarray:
-    """B[r, s] = P(s of r points stay) for r, s = 0..n, when each point drops
-    or stays with odds drop : stay (drop > 0).  Rows are renormalized to
-    sum to 1."""
-    if stay == 0.0:
-        B = np.zeros((n + 1, n + 1))
-        B[:, 0] = 1.0
-        return B
+def _binomial_batch(log_comb: np.ndarray, n: int, drop: np.ndarray, stay: np.ndarray) -> np.ndarray:
+    """B[b, r, s] = P(s of r points stay) for r, s = 0..n, when each point
+    drops or stays with odds drop[b] : stay[b] (drop > 0).  Rows are
+    renormalized to sum to 1."""
     r = np.arange(n + 1)
-    log_drop = math.log(drop / (drop + stay))
-    B = log_comb[: n + 1, : n + 1] + r[:, None] * log_drop
-    B += r * (math.log(stay / (drop + stay)) - log_drop)
+    log_drop = np.log(drop / (drop + stay))
+    with np.errstate(divide="ignore", invalid="ignore"):  # when nothing stays
+        col = r * (np.log(stay / (drop + stay)) - log_drop)[:, None]
+    col[:, 0] = 0.0
+    B = log_comb[: n + 1, : n + 1] + (r * log_drop[:, None])[:, :, None]
+    B += col[:, None, :]
     return _normalized_exp(B)
 
 
-def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int) -> np.ndarray:
+def _increments(v: np.ndarray) -> np.ndarray:
+    """v[i] - v[i-1], with v[-1] = 0."""
+    d = v.copy()
+    d[1:] -= v[:-1]
+    return d
+
+
+def _moves(log_comb: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray):
+    """The steps with drop > 0, and an iterator over their kernels, each
+    sizes[i] + 1 square.  Consecutive kernels are built in one batch of at
+    most _BATCH_ENTRIES entries (or one kernel), at the size of its first,
+    largest kernel; a batch is freed once its last kernel has been used."""
+    move = drop > 0.0
+    sizes, drop, stay = sizes[move].tolist(), drop[move], stay[move]
+
+    def kernels():
+        lo = 0
+        while lo < len(sizes):
+            hi = lo + max(1, _BATCH_ENTRIES // (sizes[lo] + 1) ** 2)
+            batch = list(_binomial_batch(log_comb, sizes[lo], drop[lo:hi], stay[lo:hi]))
+            for n in sizes[lo:hi]:
+                yield batch.pop(0)[: n + 1, : n + 1]
+            lo = hi
+
+    return move.tolist(), kernels()
+
+
+def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
     """Step-down count of m0 nulls and m - m0 alternatives.
 
     u0[i-1] and u1[i-1] (nondecreasing in i) are the probabilities that a
@@ -154,66 +196,88 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int) -> np.ndarray:
     M[k, j] = P(the first i with fewer than i points below is k + 1, and j
     nulls lie below it), with k = m when there is no such i.  The state
     P[r0, r1] holds the nulls and alternatives still above the threshold.
+
+    The count starts at step `start` with one jump of every point to
+    u[start-1], and cuts the states that would have left before it; when the
+    first `start` thresholds are tied this is exact for rows k >= start - 1,
+    and the rows below are left 0.
     """
     m = len(u0)
     m1 = m - m0
     log_comb = _log_comb(max(m0, m1))
+    live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
+    v0, v1 = u0[start - 1 :], u1[start - 1 :]
+    size0, size1 = np.minimum(live, m0), np.minimum(live, m1)
+    size0[0], size1[0] = m0, m1  # the jump moves from all points above
+    move0, K0 = _moves(log_comb, size0, _increments(v0), 1.0 - v0)
+    move1, K1 = _moves(log_comb, size1, _increments(v1), 1.0 - v1)
+    a, b = min(m0, live[0]), min(m1, live[0])
+    P = np.outer(
+        (next(K0) if move0[0] else np.eye(m0 + 1))[m0, : a + 1],
+        (next(K1) if move1[0] else np.eye(m1 + 1))[m1, : b + 1],
+    )
+    P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
     out = np.zeros((m + 1, m + 1))
-    P = np.zeros((m0 + 1, m1 + 1))
-    P[m0, m1] = 1.0
-    prev0 = prev1 = 0.0
-    for i in range(1, m + 1):
-        live = m - i + 1  # every state has at most `live` points above
-        a, b = min(m0, live), min(m1, live)
-        P = P[: a + 1, : b + 1]
-        v0, v1 = u0[i - 1], u1[i - 1]
-        if v0 > prev0:
-            P = _binomial_rows(log_comb, a, v0 - prev0, 1.0 - v0).T @ P
-            prev0 = v0
-        if v1 > prev1:
-            P = P @ _binomial_rows(log_comb, b, v1 - prev1, 1.0 - v1)
-            prev1 = v1
-        r0 = np.arange(max(0, live - b), a + 1)  # exactly i - 1 points below t_i
-        out[i - 1, m0 - r0] = P[r0, live - r0]
-        P[r0, live - r0] = 0.0
+    for i in range(start, m + 1):
+        L = m - i + 1
+        if i > start:
+            a, b = min(m0, L), min(m1, L)
+            if move0[i - start]:
+                P = next(K0).T @ P[: a + 1, : b + 1]
+            if move1[i - start]:
+                P = P[: a + 1, : b + 1] @ next(K1)
+        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i) leaves
+        a, b = P.shape[0] - 1, P.shape[1] - 1
+        lo, hi = max(0, L - b), min(a, L)
+        exits = P.reshape(-1)[L + lo * b : L + hi * b + 1 : max(b, 1)]
+        out[i - 1, m0 - hi : m0 - lo + 1] = exits[::-1]
+        exits[:] = 0.0
     out[m, m0] = P[0, 0]
     return out
 
 
-def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.ndarray:
-    """Step-down count in RM(m, pi0, F): masses[k, j] as in _sd_fm_masses.
+def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
+    """Step-down count in RM(m, pi0, F): masses[k, j] as in _sd_fm_masses,
+    with the same jump start.
 
     The state P[n0, r] holds the nulls below and the points above the
     threshold.  The points that drop below are split into nulls, moved in
     the (n1, r) layout where n1 = m - n0 - r stays fixed, and alternatives,
-    moved in the (n0, r) layout.
+    moved in the (n0, r) layout.  Both layouts are views of one buffer: P
+    sits below `pad` zero rows, and S[n1, r] = P[m - n1 - r, r] is a
+    skewed view that reaches into them where n0 would be negative.
     """
     m = len(t)
     log_comb = _log_comb(m)
-    n = np.arange(m + 1)
-    shear = m - n[:, None] - n  # row of (n0, r) in the (n1, r) layout and back
-    inside = shear >= 0
-    shear = np.maximum(shear, 0)
+    live = np.arange(m - start + 1, 0, -1)
+    tt, FF = t[start - 1 :], Fv[start - 1 :]
+    w0 = pi0 * _increments(tt)
+    w1 = (1.0 - pi0) * _increments(FF)
+    above = pi0 * (1.0 - tt) + (1.0 - pi0) * (1.0 - FF)
+    size = live.copy()
+    size[0] = m
+    move0, K0 = _moves(log_comb, size, w0, w1 + above)
+    move1, K1 = _moves(log_comb, size, w1, above)
+    pad = int(live[0])
+    Z = np.zeros((pad + m + 1, pad + 1))
+    P = Z[pad:]
+    row, col = Z.strides
+    S = as_strided(Z[pad + m :], (m + 1, pad + 1), (-row, col - row))
+    # the jump: m - n0 points stay above once the nulls have dropped, and
+    # r of them once the alternatives have
+    stay = (next(K0) if move0[0] else np.eye(m + 1))[m, ::-1].copy()
+    np.multiply(stay[:, None], (next(K1) if move1[0] else np.eye(m + 1))[::-1, : pad + 1], out=P)
     out = np.zeros((m + 1, m + 1))
-    P = np.zeros((m + 1, m + 1))
-    P[0, m] = 1.0
-    prev_t = prev_F = 0.0
-    for i in range(1, m + 1):
-        live = m - i + 1
-        P = P[:, : live + 1]
-        w0 = pi0 * (t[i - 1] - prev_t)
-        w1 = (1.0 - pi0) * (Fv[i - 1] - prev_F)
-        above = pi0 * (1.0 - t[i - 1]) + (1.0 - pi0) * (1.0 - Fv[i - 1])
-        if w0 > 0.0:
-            rows, keep = shear[:, : live + 1], inside[:, : live + 1]
-            P = np.where(keep, np.take_along_axis(P, rows, axis=0), 0.0)
-            P = P @ _binomial_rows(log_comb, live, w0, w1 + above)
-            P = np.where(keep, np.take_along_axis(P, rows, axis=0), 0.0)
-        if w1 > 0.0:
-            P = P @ _binomial_rows(log_comb, live, w1, above)
-        prev_t, prev_F = t[i - 1], Fv[i - 1]
-        out[i - 1] = P[:, live]
-        P[:, live] = 0.0
+    for i in range(start, m + 1):
+        L = m - i + 1
+        if i > start:
+            if move0[i - start]:
+                shear = S[:, : L + 1]
+                shear[...] = np.ascontiguousarray(shear) @ next(K0)
+            if move1[i - start]:
+                P[:, : L + 1] = P[:, : L + 1] @ next(K1)
+        out[i - 1] = P[:, L]
+        P[:, L] = 0.0
     out[m] = P[:, 0]
     return out
 
@@ -223,21 +287,23 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _su_fm_masses(t: np.ndarray, Fv: np.ndarray, m0: int) -> np.ndarray:
-    """Step-up law in FM: the step-down count of 1 - p, read backwards."""
-    M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], m0)
+def _su_fm_masses(t: np.ndarray, Fv: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
+    """Step-up law in FM: the step-down count of 1 - p, read backwards.
+    Starting the count at reflected step `start` leaves the ranks
+    k > m - start + 1 at 0."""
+    M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], m0, start)
     out = np.zeros_like(M)
     out[:, : m0 + 1] = M[::-1, m0::-1]
     return out
 
 
-def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.ndarray:
+def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
     """Step-up law in RM: the count of p-values with c.d.f. G gives k, and
     the k rejected p-values, i.i.d. below t_k, are null with probability
-    pi0*t_k/G(t_k) each."""
+    pi0*t_k/G(t_k) each.  `start` is as in _su_fm_masses."""
     m = len(t)
     above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = np.diag(_sd_fm_masses(above, np.zeros(m), m))[::-1]  # P(|R| = k)
+    counts = np.diag(_sd_fm_masses(above, np.zeros(m), m, start))[::-1]  # P(|R| = k)
     tk = np.concatenate(([0.0], t))[:, None]
     Fk = np.concatenate(([0.0], Fv))[:, None]
     G = pi0 * tk + (1.0 - pi0) * Fk
@@ -250,12 +316,12 @@ def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.ndarray:
     return counts[:, None] * _normalized_exp(split)
 
 
-def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> np.ndarray:
+def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:
     if cfg.model == "FM":
         builder = _su_fm_masses if procedure == "SU" else _sd_fm_masses
-        return builder(t, Fv, cfg.m0)
+        return builder(t, Fv, cfg.m0, start)
     builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
-    return builder(t, Fv, cfg.pi0)
+    return builder(t, Fv, cfg.pi0, start)
 
 
 def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
@@ -280,7 +346,10 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     Ranks k < lambda come from the step-up rule on (t_lambda ^ t_j)_j, ranks
     k >= lambda from the step-down rule on (t_lambda v t_j)_j; the two events
     partition the probability space.  F is monotone, so its values on the
-    capped and floored collections are the capped and floored F(t_j).
+    capped and floored collections are the capped and floored F(t_j).  The
+    floored collection is tied at t_lambda up to step lambda and the
+    reflected capped one up to step m - lambda + 1, so each count starts
+    there with one jump.
     """
     _require_continuous(cfg.F)
     m = t.m
@@ -291,8 +360,8 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     arr = t.as_array()
     Fv = cfg.F(arr)
     cap, Fcap = arr[lam - 1], Fv[lam - 1]
-    masses = _masses("SD", np.maximum(arr, cap), np.maximum(Fv, Fcap), cfg)
-    masses[:lam] = _masses("SU", np.minimum(arr, cap), np.minimum(Fv, Fcap), cfg)[:lam]
+    masses = _masses("SD", np.maximum(arr, cap), np.maximum(Fv, Fcap), cfg, lam)
+    masses[:lam] = _masses("SU", np.minimum(arr, cap), np.minimum(Fv, Fcap), cfg, m - lam + 1)[:lam]
     return JointPmf(masses, cfg.model, "SUD")
 
 

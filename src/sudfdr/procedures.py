@@ -132,8 +132,6 @@ def _u_smooth(tau: float, G, rho, tol: float = 1e-12) -> float:
     h_tau = h(tau)
     if h_tau >= 0.0:
         # min{u in [tau, 1] : G(rho(u)) <= u}
-        if h_tau == 0.0:
-            return tau
         us = np.linspace(tau, 1.0, n_scan)
         idx = np.nonzero(G(rho(us)) - us <= 0.0)[0]
         if len(idx) == 0:
