@@ -43,8 +43,9 @@ from sudfdr.procedures import (
     u_operator,
     check_sandwich,
 )
-from sudfdr.steck import psi, psi_two_pop, PsiTable, PrecisionError
+from sudfdr.steck import psi, psi_two_pop
 from sudfdr.exact import (
+    PrecisionError,
     JointPmf,
     FdrResult,
     joint_pmf,

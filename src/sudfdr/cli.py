@@ -25,10 +25,9 @@ import sys
 
 from sudfdr import __version__
 from sudfdr.bounds import BoundInputs, gap_bound_fm, gap_bound_rm
-from sudfdr.exact import fdp_pmf_histogram, fdr_sud
+from sudfdr.exact import PrecisionError, fdp_pmf_histogram, fdr_sud
 from sudfdr.models import mixture_from_config
 from sudfdr.montecarlo import cross_validate, simulate_fdr
-from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import curve_from_config, from_rho
 
 EXIT_OK = 0

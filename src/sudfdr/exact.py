@@ -42,7 +42,6 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln, xlogy
 
 from sudfdr.models import AlternativeCdf, MixtureConfig
-from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -55,10 +54,17 @@ __all__ = [
     "fdr_sud",
     "fdp_cdf",
     "fdp_pmf_histogram",
+    "fdp_mean",
     "step_at_one_closed_forms",
+    "PrecisionError",
 ]
 
 SUM_TOL = 1e-8
+
+
+class PrecisionError(ArithmeticError):
+    """Raised when double precision is exhausted: an exact joint law or
+    noncrossing count fails its mass check."""
 
 
 def _require_continuous(F: AlternativeCdf):

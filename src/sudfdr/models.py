@@ -25,7 +25,6 @@ __all__ = [
     "GaussianLocationCdf",
     "DiracZeroCdf",
     "StepAtOneCdf",
-    "ReflectedCdf",
     "MixtureConfig",
     "PValueSample",
     "eval_G",
@@ -52,10 +51,6 @@ class AlternativeCdf:
     def _eval(self, t):
         raise NotImplementedError
 
-    def reflected(self) -> "AlternativeCdf":
-        """C.d.f. of 1 - p when p has this c.d.f."""
-        return ReflectedCdf(self)
-
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Generalized inverse inf{x : F(x) >= u} for u in (0, 1], applied in
         place to the float array u of uniforms, which is returned."""
@@ -72,9 +67,6 @@ class IdentityCdf(AlternativeCdf):
 
     def _eval(self, t):
         return t
-
-    def reflected(self):
-        return self
 
     def quantile(self, u):
         return u
@@ -126,9 +118,6 @@ class DiracZeroCdf(AlternativeCdf):
         out = np.ones_like(t)
         return out if out.ndim else 1.0
 
-    def reflected(self):
-        return StepAtOneCdf()
-
     def quantile(self, u):
         u.fill(0.0)
         return u
@@ -149,27 +138,9 @@ class StepAtOneCdf(AlternativeCdf):
         out = (t >= 1.0).astype(float)
         return out if out.ndim else float(out)
 
-    def reflected(self):
-        return DiracZeroCdf()
-
     def quantile(self, u):
         u.fill(1.0)
         return u
-
-
-class ReflectedCdf(AlternativeCdf):
-    """C.d.f. of 1 - p, i.e. t -> 1 - F(1 - t), for continuous F."""
-
-    def __init__(self, base: AlternativeCdf):
-        if not base.continuous:
-            raise ValueError("reflection of a non-continuous c.d.f. is not supported here")
-        self.base = base
-        self.kind = f"reflected_{base.kind}"
-
-    def _eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = 1.0 - np.asarray(self.base(1.0 - t))
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 import sudfdr
 from sudfdr import exact
 from sudfdr.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, __version__, main
-from sudfdr.steck import PrecisionError
+from sudfdr.exact import PrecisionError
 
 
 def _run(capsys, *argv):

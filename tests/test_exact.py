@@ -6,6 +6,7 @@ import pytest
 from sudfdr.exact import (
     SUM_TOL,
     JointPmf,
+    PrecisionError,
     fdp_cdf,
     fdp_mean,
     fdp_pmf_histogram,
@@ -24,7 +25,6 @@ from sudfdr.models import (
     StepAtOneCdf,
 )
 from sudfdr.montecarlo import cross_validate, simulate_fdr
-from sudfdr.steck import PrecisionError
 from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho
 
 T10 = from_rho(LinearCurve(0.5), 10)

@@ -2,7 +2,7 @@
 
 The joint laws of sudfdr.exact are compared against two independent
 references: the Steck-recursion assembly below (binomial prefactors times
-boundary-noncrossing probabilities from sudfdr.steck) and, for the identity
+boundary-noncrossing probabilities from steck_reference) and, for the identity
 and point-mass-at-zero alternatives, the same formulas in exact rational
 arithmetic.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
 from sudfdr import exact
 from sudfdr.exact import fdr_sud, joint_pmf, sud_joint_masses
 from sudfdr.models import (
@@ -24,7 +25,6 @@ from sudfdr.models import (
     IdentityCdf,
     MixtureConfig,
 )
-from sudfdr.steck import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational
 from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho, sd_part, su_part
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def _su_fm_masses(t: ThresholdCollection, m0: int, F: AlternativeCdf) -> dict:
     m = t.m
     arr = t.as_array()
     s = 1.0 - arr[::-1]  # s_l = 1 - t_{m+1-l}, nondecreasing
-    tab = PsiTable(s, F.reflected(), allow_degenerate=True)
+    tab = PsiTable(s, reflected(F), allow_degenerate=True)
     out = {}
     for k in range(m + 1):
         tk = t[k]
@@ -192,12 +192,12 @@ def _threshold_vectors(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 def test_forward_count_matches_steck_on_random_thresholds(t, data):
     F = data.draw(st.sampled_from(ALTERNATIVES))
-    if isinstance(F, DiracZeroCdf) and t[1] == 0.0:
-        # With t_1 = 0 the reference's step-up masses for the point mass at
-        # zero sum to more than 1: its reflected table counts an alternative
-        # at 1 - p = 1 as below a reflected threshold 1 - t = 1, i.e. as not
-        # rejected at p = t = 0, while the step-up rule rejects when p <= t.
-        # That case is checked against exact values in
+    if isinstance(F, DiracZeroCdf) and 1.0 - t[1] == 1.0:
+        # When 1 - t_1 rounds to 1 the reference's step-up masses for the
+        # point mass at zero sum to more than 1: its reflected table counts
+        # an alternative at 1 - p = 1 as below a reflected threshold 1 - t_1
+        # = 1, i.e. as not rejected at p = 0 <= t_1, while the step-up rule
+        # rejects it.  That case is checked against exact values in
         # test_point_mass_at_zero_with_zero_threshold and the rational audit.
         F = IdentityCdf()
     m = t.m
@@ -211,14 +211,16 @@ def test_forward_count_matches_steck_on_random_thresholds(t, data):
 
 
 def test_point_mass_at_zero_with_zero_threshold():
-    # One uniform null U and one alternative at 0, t = (0, 0.5).  Step-up:
-    # p_(2) = U <= 0.5 gives (k, j) = (2, 1); otherwise p_(1) = 0 <= t_1
-    # gives (1, 0).  Step-down: p_(1) = 0 <= 0 always, so the same law.
-    t = ThresholdCollection((0.0, 0.5))
+    # One uniform null U and one alternative at 0, t = (t_1, 0.5) with t_1
+    # zero or so small that 1 - t_1 rounds to 1.  Step-up: p_(2) = U <= 0.5
+    # gives (k, j) = (2, 1); otherwise p_(1) = 0 <= t_1 gives (1, 0).
+    # Step-down: p_(1) = 0 <= t_1 always, so the same law.
     cfg = MixtureConfig(model="FM", m=2, m0=1, F=DiracZeroCdf())
     expected = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    for procedure in ("SU", "SD"):
-        assert np.array_equal(joint_pmf(t, cfg, procedure).masses, expected)
+    for t1 in (0.0, 5e-324, 1e-170):
+        t = ThresholdCollection((t1, 0.5))
+        for procedure in ("SU", "SD"):
+            assert np.array_equal(joint_pmf(t, cfg, procedure).masses, expected), (t1, procedure)
 
 
 # ---------------------------------------------------------------------------

