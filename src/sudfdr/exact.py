@@ -18,15 +18,26 @@ probability space.
 The floored collection is tied at t_lambda up to step lambda, so its count
 starts there: one jump moves every point from above 0 to above t_lambda,
 giving the product state Bin(m0, 1 - t_lambda) x Bin(m1, 1 - F(t_lambda)),
-and the states that would have left at the tied steps are cut.  The
-reflected capped collection likewise starts at step m - lambda + 1.  The
-row-normalized binomial kernels of consecutive moving steps are built in
-one batched expression of at most about 2^15 entries (one kernel at a time
-once a kernel is that large), and each batch is used up before the next is
-built.  In the FM state P[r0, r1] each exit anti-diagonal r0 + r1 = m - i + 1
-is read and cleared through a strided slice of the C-contiguous array; the
-RM null moves work on a skewed view of the (n0, r) state that indexes it by
-(n1, r).
+the outer product of two binomial p.m.f. rows, and the states that would
+have left at the tied steps are cut.  The reflected capped collection
+likewise starts at step m - lambda + 1.
+
+A step's kernel K[r, s] = P(s of r points stay) is built only on its band
+0 <= r - s < w: w is the smallest width that keeps every entry of its widest
+row r = n that is at least 1e-40.  So row n drops only entries below 1e-40,
+and a shorter row, whose number of drops is stochastically smaller, drops no
+more tail mass; each row of the band is renormalized.  Each entry comes from a
+1-D table of log-factorials.  A kernel is applied as one batched matmul over
+its 2w x w diagonal blocks K[jw : jw + 2w, jw : jw + w], which are strided
+views of the band; when the band covers more than half of the kernel (w >
+(n + 1) / 2), or the kernel has fewer than 64 rows, it is applied whole, as
+one plain product.  The bands of consecutive moving steps of both
+populations are built in one batched expression of at most 2^14 entries
+(one kernel at a time once a kernel is that large), at the widest band
+among them, and each batch is used up before the next is built.  In the FM
+state P[r0, r1] each exit anti-diagonal r0 + r1 = m - i + 1 is read and
+cleared through a strided slice of the C-contiguous array; the RM null
+moves work on a skewed view of the (n0, r) state that indexes it by (n1, r).
 
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
@@ -34,12 +45,14 @@ more than SUM_TOL away from 1 raises PrecisionError.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln
 
 from sudfdr.models import AlternativeCdf, MixtureConfig
 from sudfdr.thresholds import ThresholdCollection
@@ -136,35 +149,97 @@ class FdrResult:
 # forward-count kernel
 # ---------------------------------------------------------------------------
 
-_BATCH_ENTRIES = 1 << 15  # kernel entries built at once
+_BATCH_ENTRIES = 1 << 14  # band entries built at once
+_BANDED_MIN = 64  # smaller kernels stay dense: there the band saves less than it costs to find
+_LOG_CUT = math.log(1e-40)  # the band keeps every entry of its widest row above this
+# log 0: k * _LOG_ZERO for a count k >= 1 outweighs every log-binomial here,
+# so its exp is 0, and the rounding error of r * _LOG_ZERO, which a fused
+# multiply-add in the rank-2 product of _binomial_batch leaves uncancelled,
+# stays far below 1 (with -1e300 it overflowed exp)
+_LOG_ZERO = -1e10
+_F8 = np.dtype(np.float64)
 
 
-def _log_comb(n: int) -> np.ndarray:
-    """log C(r, s) for r, s = 0..n; -inf where s > r."""
-    r = np.arange(n + 1)
-    lf = gammaln(r + 1.0)
-    return np.where(r[:, None] >= r, lf[:, None] - lf[np.maximum(r[:, None] - r, 0)] - lf, -np.inf)
+@functools.cache
+def _log_factorials(n: int) -> np.ndarray:
+    """log r! for r = 0..n, as a view of a buffer that holds n + 1 entries of
+    +inf on either side: a negative index r - s (s > r) reads +inf, so that
+    log C(r, s) comes out -inf, and _binomial_batch reads windows that start
+    before r = 0."""
+    buf = np.full(3 * (n + 1), np.inf)
+    buf[n + 1 : 2 * (n + 1)] = gammaln(np.arange(n + 1) + 1.0)
+    buf.flags.writeable = False
+    return buf[n + 1 :]
 
 
-def _normalized_exp(log_masses: np.ndarray) -> np.ndarray:
-    """exp of a table of log-masses, each row renormalized to sum to 1."""
-    B = np.exp(log_masses, out=log_masses)
-    B /= B.sum(axis=-1, keepdims=True)
-    return B
+def _log0(x: float) -> float:
+    """log x, with log 0 = _LOG_ZERO so that 0 * log 0 = 0 and nothing is NaN."""
+    return math.log(x) if x > 0.0 else _LOG_ZERO
 
 
-def _binomial_batch(log_comb: np.ndarray, n: int, drop: np.ndarray, stay: np.ndarray) -> np.ndarray:
-    """B[b, r, s] = P(s of r points stay) for r, s = 0..n, when each point
-    drops or stays with odds drop[b] : stay[b] (drop > 0).  Rows are
-    renormalized to sum to 1."""
-    r = np.arange(n + 1)
-    log_drop = np.log(drop / (drop + stay))
-    with np.errstate(divide="ignore", invalid="ignore"):  # when nothing stays
-        col = r * (np.log(stay / (drop + stay)) - log_drop)[:, None]
-    col[:, 0] = 0.0
-    B = log_comb[: n + 1, : n + 1] + (r * log_drop[:, None])[:, :, None]
-    B += col[:, None, :]
-    return _normalized_exp(B)
+def _log(x: np.ndarray) -> np.ndarray:
+    """_log0 elementwise."""
+    return np.log(x, out=np.full(x.shape, _LOG_ZERO), where=x > 0.0)
+
+
+def _binomial_pmf(lf: np.ndarray, n: int, drop: float, stay: float) -> np.ndarray:
+    """P(s of n points stay), s = 0..n, when each drops or stays with odds
+    drop : stay."""
+    s = np.arange(n + 1.0)
+    p = np.exp(lf[n] - lf[: n + 1] - lf[n::-1] + s * _log0(stay / (drop + stay)) + s[::-1] * _log0(drop / (drop + stay)))
+    return p / p.sum()
+
+
+def _band_widths(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """The band of each kernel: one more than the largest number of drops
+    whose probability in row n, the widest, is at least 1e-40; the whole
+    kernel, n + 1, when that is more than half of it or the kernel has fewer
+    than _BANDED_MIN rows."""
+    w = n + 1
+    wide = (w >= _BANDED_MIN).nonzero()[0]
+    if not wide.size:
+        return w
+    chunk = max(1, _BATCH_ENTRIES // 4 // int(w.max()))  # the test below makes about four such tables
+    for lo in range(0, len(wide), chunk):
+        i = wide[lo : lo + chunk]
+        r, d = n[i, None], np.arange(w[i].max())
+        keep = lf[r] - lf[d] - lf[r - d] + (r - d) * lq[i, None] + d * lp[i, None] >= _LOG_CUT
+        w[i] = len(d) - keep[:, ::-1].argmax(axis=1)
+    return np.where(2 * w > n + 1, n + 1, w)
+
+
+def _binomial_batch(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarray, width: int, pad: int) -> np.ndarray:
+    """The bands of consecutive kernels: kernel b holds P(s of r points
+    stay) for r = 0..n[b], when each point drops with log-probability lp[b]
+    and stays with log-probability lq[b], renormalized over the band.
+
+    Row r of kernel b is row off_b + r of the returned Z, off_b the number of
+    rows before it: Z[., width:] holds the entries s = r - width + 1 .. r in
+    ascending order and Z[., :width] is zero.  So entry (r, s) of kernel b
+    sits at flat position (off_b + 1) * 2 width - 1 + r (2 width - 1) + s,
+    which reads 0 for r < s < r + width and for r - 2 width < s <= r - width:
+    the dense square and the 2w x w diagonal blocks of any band w <= width
+    are strided views of Z.  Z ends in `pad` zero rows that those views reach.
+    """
+    sizes = n + 1
+    starts = sizes.cumsum() - sizes
+    rows = np.arange(starts[-1] + sizes[-1]) - starts.repeat(sizes)
+    d = np.arange(width - 1, -1, -1)
+    # log C(r, d) = log r! - log s! - log d!, s = r - d = r - width + 1 .. r,
+    # from the +inf entries that precede lf[0]; -inf where s < 0
+    window = np.ndarray((int(sizes.max()), width), _F8, lf.base, 8 * (len(lf) // 2 - width + 1), (8, 8))
+    log_comb = (lf[: len(window), None] - lf[d]) - window
+    # + r log q + d log(p / q), as one rank-2 product
+    coef = np.array((lq, lp - lq)).T.repeat(sizes, axis=0)
+    coef[:, 0] *= rows
+    logs = log_comb[rows]
+    logs += coef @ np.array((np.ones(width), d))
+    band = np.zeros(logs.shape)
+    np.exp(logs, out=band, where=logs > -np.inf)  # s < 0 is 0 (and slow to exponentiate)
+    del logs
+    Z = np.zeros((len(rows) + pad, 2 * width))
+    np.divide(band, (band @ np.ones(width))[:, None], out=Z[: len(rows), width:])
+    return Z
 
 
 def _increments(v: np.ndarray) -> np.ndarray:
@@ -174,24 +249,86 @@ def _increments(v: np.ndarray) -> np.ndarray:
     return d
 
 
-def _moves(log_comb: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray):
-    """The steps with drop > 0, and an iterator over their kernels, each
-    sizes[i] + 1 square.  Consecutive kernels are built in one batch of at
-    most _BATCH_ENTRIES entries (or one kernel), at the size of its first,
-    largest kernel; a batch is freed once its last kernel has been used."""
+def _moves(lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray):
+    """Which populations move at each step, and one iterator over their
+    kernels in step order.
+
+    sizes, drop and stay are (steps, populations) arrays: a population moves
+    when drop > 0, and its kernel moves sizes + 1 states.  A dense kernel is
+    handed out as its (n + 1) square, a kernel with a narrower band as
+    _Blocks; both are strided views of one batch of consecutive kernels,
+    built at the widest band among them with at most _BATCH_ENTRIES band
+    entries (or one kernel).  A batch is freed once its last kernel has been
+    used.
+    """
     move = drop > 0.0
-    sizes, drop, stay = sizes[move].tolist(), drop[move], stay[move]
+    n, drop, stay = sizes[move], drop[move], stay[move]
+    lp = np.log(drop / (drop + stay))
+    lq = _log(stay / (drop + stay))
+    widths = _band_widths(lf, n, lp, lq)
+
+    def batch(lo: int, hi: int) -> list:
+        rows, ws = (n[lo:hi] + 1).tolist(), widths[lo:hi].tolist()
+        starts = list(itertools.accumulate(rows, initial=0))
+        # the blocks of a kernel with band w span ceil(rows / w) + 1 blocks of w rows
+        reach = max((s + (-(-k // w) + 1) * w for s, k, w in zip(starts, rows, ws) if w < k), default=0)
+        W = max(ws)
+        Z = _binomial_batch(lf, n[lo:hi], lp[lo:hi], lq[lo:hi], W, max(0, reach - starts[-1]))
+        A = 8 * (2 * W)  # bytes per row of Z; entry (0, 0) of a kernel sits at byte s * A + A - 8
+        return [
+            np.ndarray((w, w), _F8, Z, s * A + A - 8, (A - 8, 8))
+            if w == k
+            else _Blocks(np.ndarray((-(-k // w), 2 * w, w), _F8, Z, s * A + A - 8, (w * A, A - 8, 8)))
+            for s, k, w in zip(starts, rows, ws)
+        ]
 
     def kernels():
         lo = 0
-        while lo < len(sizes):
-            hi = lo + max(1, _BATCH_ENTRIES // (sizes[lo] + 1) ** 2)
-            batch = list(_binomial_batch(log_comb, sizes[lo], drop[lo:hi], stay[lo:hi]))
-            for n in sizes[lo:hi]:
-                yield batch.pop(0)[: n + 1, : n + 1]
+        while lo < len(n):
+            entries = (n[lo:] + 1).cumsum() * np.maximum.accumulate(widths[lo:])
+            hi = lo + max(1, int(entries.searchsorted(_BATCH_ENTRIES, side="right")))
+            yield from batch(lo, hi)
             lo = hi
 
     return move.tolist(), kernels()
+
+
+class _Blocks:
+    """A kernel K with band w, held as its diagonal blocks B[j] = K[jw : jw +
+    2w, jw : jw + w] (strided views of its batch).  Two products are defined,
+    each one batched matmul over the blocks: X @ K, column block j of which
+    is X[:, jw : jw + 2w] @ B[j] (X padded with zero columns), and K.T @ X;
+    both may carry extra zero columns or rows."""
+
+    __array_ufunc__ = None  # ndarray @ _Blocks defers to _Blocks.__rmatmul__
+
+    def __init__(self, B: np.ndarray, transposed: bool = False):
+        self.B, self.transposed = B, transposed
+
+    @property
+    def T(self) -> "_Blocks":
+        return _Blocks(self.B, not self.transposed)
+
+    def __rmatmul__(self, X: np.ndarray) -> np.ndarray:  # X @ K
+        if self.transposed:
+            return NotImplemented
+        blocks, h, w = self.B.shape
+        r, c = X.shape[0], (blocks + 1) * w
+        Xp = np.zeros((r, c))
+        Xp[:, : X.shape[1]] = X
+        out = np.empty((r, blocks * w))
+        np.matmul(np.ndarray((blocks, r, h), float, Xp, 0, (8 * w, 8 * c, 8)), self.B, out=out.reshape(r, blocks, w).transpose(1, 0, 2))
+        return out
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:  # K.T @ X
+        if not self.transposed:
+            return NotImplemented
+        blocks, h, w = self.B.shape
+        c = X.shape[1]
+        Xp = np.zeros(((blocks + 1) * w, c))
+        Xp[: len(X)] = X
+        Xb = np.ndarray((blocks, h, c), float, Xp, 0, (8 * w * c, 8 * c, 8))
+        return (self.B.transpose(0, 2, 1) @ Xb).reshape(-1, c)
 
 
 def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
@@ -210,32 +347,28 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     """
     m = len(u0)
     m1 = m - m0
-    log_comb = _log_comb(max(m0, m1))
+    lf = _log_factorials(max(m0, m1))
     live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
-    v0, v1 = u0[start - 1 :], u1[start - 1 :]
-    size0, size1 = np.minimum(live, m0), np.minimum(live, m1)
-    size0[0], size1[0] = m0, m1  # the jump moves from all points above
-    move0, K0 = _moves(log_comb, size0, _increments(v0), 1.0 - v0)
-    move1, K1 = _moves(log_comb, size1, _increments(v1), 1.0 - v1)
+    v = np.array((u0[start - 1 :], u1[start - 1 :])).T
+    move, K = _moves(lf, np.minimum(live[1:, None], (m0, m1)), _increments(v)[1:], 1.0 - v[1:])
     a, b = min(m0, live[0]), min(m1, live[0])
-    P = np.outer(
-        (next(K0) if move0[0] else np.eye(m0 + 1))[m0, : a + 1],
-        (next(K1) if move1[0] else np.eye(m1 + 1))[m1, : b + 1],
-    )
+    P = np.outer(_binomial_pmf(lf, m0, v[0, 0], 1.0 - v[0, 0])[: a + 1], _binomial_pmf(lf, m1, v[0, 1], 1.0 - v[0, 1])[: b + 1])
     P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
     out = np.zeros((m + 1, m + 1))
     for i in range(start, m + 1):
         L = m - i + 1
+        a, b = min(m0, L), min(m1, L)
         if i > start:
-            a, b = min(m0, L), min(m1, L)
-            if move0[i - start]:
-                P = next(K0).T @ P[: a + 1, : b + 1]
-            if move1[i - start]:
-                P = P[: a + 1, : b + 1] @ next(K1)
-        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i) leaves
-        a, b = P.shape[0] - 1, P.shape[1] - 1
+            move0, move1 = move[i - start - 1]
+            if move0:
+                P = next(K).T @ P[: a + 1, : b + 1]
+            if move1:
+                P = P[: a + 1, : b + 1] @ next(K)
+        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i)
+        # leaves; P is C-contiguous and may carry extra zero rows and columns
         lo, hi = max(0, L - b), min(a, L)
-        exits = P.reshape(-1)[L + lo * b : L + hi * b + 1 : max(b, 1)]
+        c = P.shape[1]
+        exits = P.reshape(-1)[L + lo * (c - 1) : L + hi * (c - 1) + 1 : max(c - 1, 1)]
         out[i - 1, m0 - hi : m0 - lo + 1] = exits[::-1]
         exits[:] = 0.0
     out[m, m0] = P[0, 0]
@@ -254,34 +387,38 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     skewed view that reaches into them where n0 would be negative.
     """
     m = len(t)
-    log_comb = _log_comb(m)
+    lf = _log_factorials(m)
     live = np.arange(m - start + 1, 0, -1)
     tt, FF = t[start - 1 :], Fv[start - 1 :]
     w0 = pi0 * _increments(tt)
     w1 = (1.0 - pi0) * _increments(FF)
     above = pi0 * (1.0 - tt) + (1.0 - pi0) * (1.0 - FF)
-    size = live.copy()
-    size[0] = m
-    move0, K0 = _moves(log_comb, size, w0, w1 + above)
-    move1, K1 = _moves(log_comb, size, w1, above)
+    move, K = _moves(
+        lf, live[1:, None].repeat(2, axis=1), np.array((w0[1:], w1[1:])).T, np.array((w1[1:] + above[1:], above[1:])).T
+    )
     pad = int(live[0])
     Z = np.zeros((pad + m + 1, pad + 1))
     P = Z[pad:]
     row, col = Z.strides
     S = as_strided(Z[pad + m :], (m + 1, pad + 1), (-row, col - row))
-    # the jump: m - n0 points stay above once the nulls have dropped, and
-    # r of them once the alternatives have
-    stay = (next(K0) if move0[0] else np.eye(m + 1))[m, ::-1].copy()
-    np.multiply(stay[:, None], (next(K1) if move1[0] else np.eye(m + 1))[::-1, : pad + 1], out=P)
+    # the jump: r of the m points stay above, and n0 of the m - r that drop
+    # are nulls
+    drop = w0[0] + w1[0]
+    null, alt = (w0[0] / drop, w1[0] / drop) if drop > 0.0 else (0.0, 1.0)
+    r, n0 = np.arange(pad + 1)[:, None], np.arange(m + 1)
+    split = np.exp(lf[m - r] - lf[n0] - lf[m - r - n0] + n0 * _log0(null) + (m - r - n0) * _log0(alt))
+    split *= (_binomial_pmf(lf, m, drop, above[0])[: pad + 1, None] / split.sum(axis=1, keepdims=True))
+    P[...] = split.T
     out = np.zeros((m + 1, m + 1))
     for i in range(start, m + 1):
         L = m - i + 1
         if i > start:
-            if move0[i - start]:
+            move0, move1 = move[i - start - 1]
+            if move0:
                 shear = S[:, : L + 1]
-                shear[...] = np.ascontiguousarray(shear) @ next(K0)
-            if move1[i - start]:
-                P[:, : L + 1] = P[:, : L + 1] @ next(K1)
+                shear[...] = (np.ascontiguousarray(shear) @ next(K))[:, : L + 1]
+            if move1:
+                P[:, : L + 1] = (P[:, : L + 1] @ next(K))[:, : L + 1]
         out[i - 1] = P[:, L]
         P[:, L] = 0.0
     out[m] = P[:, 0]
@@ -317,9 +454,10 @@ def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     safe = np.where(hit, G, 1.0)
     null = np.where(hit, pi0 * tk / safe, 1.0)
     alt = np.where(hit, (1.0 - pi0) * Fk / safe, 0.0)
+    lf = _log_factorials(m)
     k = np.arange(m + 1)
-    split = _log_comb(m) + xlogy(np.maximum(k[:, None] - k, 0), alt) + xlogy(k, null)
-    return counts[:, None] * _normalized_exp(split)
+    split = np.exp(lf[: m + 1, None] - lf[k] - lf[k[:, None] - k] + (k[:, None] - k) * _log(alt) + k * _log(null))
+    return counts[:, None] * split / split.sum(axis=1, keepdims=True)
 
 
 def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:

@@ -53,16 +53,16 @@ def psi(t) -> float:
     _check_thresholds(t)
     k = len(t)
     live = np.arange(k, 0, -1)  # at most k - i + 1 points lie above t_i
-    move, K = exact._moves(exact._log_comb(k), live, exact._increments(t), 1.0 - t)
-    v = np.zeros(k + 1)
-    v[k] = 1.0
+    move, K = exact._moves(exact._log_factorials(k), live[:, None], exact._increments(t)[:, None], 1.0 - t[:, None])
+    v = np.zeros((1, k + 1))
+    v[0, k] = 1.0
     out = np.zeros(k + 1)  # out[i-1]: mass cut at t_i; out[k]: no crossing
     for i, L in enumerate(live.tolist()):
-        if move[i]:
-            v = v[: L + 1] @ next(K)
-        out[i] = v[L]  # only i - 1 points below t_i
-        v[L] = 0.0
-    out[k] = v[0]
+        if move[i][0]:
+            v = v[:, : L + 1] @ next(K)
+        out[i] = v[0, L]  # only i - 1 points below t_i
+        v[0, L] = 0.0
+    out[k] = v[0, 0]
     exact._check_masses(out)
     return float(out[k])
 

@@ -14,9 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
-from sudfdr import exact
+from sudfdr import exact, steck
 from sudfdr.exact import fdr_sud, joint_pmf, sud_joint_masses
 from sudfdr.models import (
     AlternativeCdf,
@@ -279,20 +280,108 @@ def test_kernels_are_built_in_batches(monkeypatch, cfg, most):
         assert 0 < len(calls) <= most, (lam, calls)
 
 
+def _sweep_configs(m: int) -> list:
+    """The exact-sweep models of the benchmark: FM m0 = 0.7 m and RM pi0 =
+    0.7 with the three alternatives."""
+    Fs = (DiracZeroCdf(), GaussianLocationCdf(1.0), IdentityCdf())
+    return [MixtureConfig(model="FM", m=m, m0=7 * m // 10, F=F) for F in Fs] + [
+        MixtureConfig(model="RM", m=m, pi0=0.7, F=F) for F in Fs
+    ]
+
+
+def test_kernel_batches_build_few_unused_entries(monkeypatch):
+    # Over the 180 orders of the m = 30 sweep every kernel is dense; the
+    # batches build at most 1.5 times the entries the steps use (1.47; a
+    # batch built at the size of its jump kernel builds 4.4 times).
+    built, used = [], []
+    build, moves = exact._binomial_batch, exact._moves
+
+    def building(lf, n, lp, lq, width, pad):
+        built.append(int((n + 1).sum()) * width)  # band entries
+        return build(lf, n, lp, lq, width, pad)
+
+    def using(*args):
+        move, kernels = moves(*args)
+
+        def counted():
+            for K in kernels:
+                used.append(K.size if isinstance(K, np.ndarray) else K.B.size)
+                yield K
+
+        return move, counted()
+
+    monkeypatch.setattr(exact, "_binomial_batch", building)
+    monkeypatch.setattr(exact, "_moves", using)
+    t = from_rho(LinearCurve(0.5), 30)
+    for cfg in _sweep_configs(30):
+        for lam in range(1, 31):
+            fdr_sud(t, lam, cfg)
+    assert sum(built) <= 1.5 * sum(used), (sum(built), sum(used))
+
+
+def _dense_kernel(n: int, drop: float, stay: float) -> np.ndarray:
+    """P(s of r points stay), r, s = 0..n, built whole from an (n+1)^2 table
+    of log-binomials: the dense reference for the banded kernels."""
+    r = np.arange(n + 1)
+    lf = gammaln(r + 1.0)
+    log_comb = np.where(r[:, None] >= r, lf[:, None] - lf[np.maximum(r[:, None] - r, 0)] - lf, -np.inf)
+    log_drop = np.log(drop / (drop + stay))
+    with np.errstate(divide="ignore", invalid="ignore"):  # when nothing stays
+        col = r * (np.log(stay / (drop + stay)) - log_drop)
+    col[0] = 0.0
+    B = np.exp(log_comb + (r * log_drop)[:, None] + col)
+    return B / B.sum(axis=1, keepdims=True)
+
+
+def _dense_moves(lf, sizes, drop, stay):
+    """exact._moves with every kernel dense."""
+    move = drop > 0.0
+    kernels = (_dense_kernel(int(n), d, s) for n, d, s in zip(sizes[move], drop[move], stay[move]))
+    return move.tolist(), kernels
+
+
+@pytest.mark.parametrize("m", [100, 300])
+def test_banded_count_matches_dense_count(monkeypatch, m):
+    # The same counts with every kernel dense, on thresholds with t_1 = 0,
+    # t_m = 1 and a run of ties: some steps drop nothing, the last drops all.
+    t = _tied_thresholds(m)
+    cases = [(cfg, lam) for cfg in _sweep_configs(m) for lam in (1, m // 2, m)]
+    staircase = np.minimum(np.arange(1, m + 1) / m + 0.1, 1.0)
+    blocked = []
+    moves = exact._moves
+
+    def counting(*args):
+        move, kernels = moves(*args)
+        kernels = list(kernels)
+        blocked.extend(isinstance(K, exact._Blocks) for K in kernels)
+        return move, iter(kernels)
+
+    monkeypatch.setattr(exact, "_moves", counting)
+    banded = [sud_joint_masses(t, lam, cfg).masses for cfg, lam in cases]
+    psi = [steck.psi(staircase), steck.psi(np.minimum(t.as_array() + 0.05, 1.0))]
+    assert any(blocked)
+    monkeypatch.setattr(exact, "_moves", _dense_moves)
+    for (cfg, lam), masses in zip(cases, banded):
+        gap = np.max(np.abs(masses - sud_joint_masses(t, lam, cfg).masses))
+        assert gap <= 1e-13, (cfg, lam, gap)
+    assert psi[0] == pytest.approx(steck.psi(staircase), rel=1e-13, abs=0.0)
+    assert psi[1] == pytest.approx(steck.psi(np.minimum(t.as_array() + 0.05, 1.0)), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "cfg, lam, bound",
     [
         (MixtureConfig(model="FM", m=300, m0=210, F=IdentityCdf()), 300, 5.1),
-        (MixtureConfig(model="FM", m=300, m0=210, F=GaussianLocationCdf(1.0)), 150, 4.75),
+        (MixtureConfig(model="FM", m=300, m0=210, F=GaussianLocationCdf(1.0)), 150, 4.38),
         (MixtureConfig(model="RM", m=300, pi0=0.7, F=GaussianLocationCdf(1.0)), 150, 6.5),
     ],
     ids=["FM-identity", "FM-gaussian", "RM-gaussian"],
 )
 def test_engine_peak_memory_is_bounded(cfg, lam, bound):
-    # in units of one (m+1)^2 float64 table: 4.97, 4.59 and 6.23 with each
-    # batch of kernels freed once used, 5.21, 4.89 and 6.75 with a batch
-    # kept alive across steps (4.97, 4.43 and 7.14 with one kernel per
-    # step and the RM state relaid out by gathers)
+    # in units of one (m+1)^2 float64 table: 5.00, 4.17 and 6.25 with banded
+    # kernels (4.97, 4.59 and 6.23 with dense ones; 5.21, 4.89 and 6.75 with
+    # a batch kept alive across steps; 4.97, 4.43 and 7.14 with one kernel
+    # per step and the RM state relaid out by gathers)
     t = from_rho(LinearCurve(0.5), cfg.m)
     tracemalloc.start()
     try:
@@ -386,3 +475,14 @@ def test_linear_step_up_oracle_at_m300(F):
     pmf = sud_joint_masses(t, m, cfg)
     assert abs(pmf.total() - 1.0) <= 1e-13
     assert pmf.masses.min() >= 0.0
+    if isinstance(F, DiracZeroCdf):
+        return
+    # m = 500 in FM and RM, with tighter tolerances: seen <= 8.6e-15 and a
+    # mass defect <= 4.5e-15
+    m = 500
+    t = from_rho(LinearCurve(alpha), m)
+    for cfg in (MixtureConfig(model="FM", m=m, m0=350, F=F), MixtureConfig(model="RM", m=m, pi0=0.7, F=F)):
+        assert abs(fdr_sud(t, m, cfg).fdr - 0.7 * alpha) <= 2e-14, cfg
+        pmf = sud_joint_masses(t, m, cfg)
+        assert abs(pmf.total() - 1.0) <= 5e-15, cfg
+        assert pmf.masses.min() >= 0.0
