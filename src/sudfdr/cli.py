@@ -47,28 +47,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="inline config override (dotted keys, JSON values)",
-    )
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=20260824)
-    sub.add_argument("--n", type=int, help="Monte-Carlo replicates")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+_FLAGS = {
+    "config": {"help": "JSON config file"},
+    "set": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+            "help": "inline config override (dotted keys, JSON values)"},
+    "seed": {"type": int, "default": 20260824},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "n": {"type": int, "help": "Monte-Carlo replicates"},
+}
+_CONFIG_FLAGS = ("config", "set", "seed", "format")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sud", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sudfdr {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
-        _add_common(sub)
+        sub.add_argument("--out", help="output path (default: stdout)")
+        for flag in flags:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
         sub.set_defaults(func=fn)
     return parser
 
@@ -123,7 +121,7 @@ def _lambdas(cfg: dict, m: int) -> list:
     lam = cfg.get("lambdas", "all")
     if lam == "all":
         return list(range(1, m + 1))
-    lams = [int(x) for x in _as_list(lam)]
+    lams = {int(x) for x in _as_list(lam)}
     if not lams:
         raise ValueError("empty lambda set")
     return sorted(lams)
@@ -149,6 +147,10 @@ def _emit(args, cfg: dict, columns: list, rows: list):
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
         text = buf.getvalue()
+    _write(args, text)
+
+
+def _write(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -349,12 +351,7 @@ def cmd_counterexample(args) -> int:
                 f"point_mass_zero={f_du:.10f} [{tag}]"
             )
     lines.append("PASS" if ok else "FAIL")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -412,12 +409,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
+# each command with the flags it reads besides --out, which every command takes
 _COMMANDS = {
-    "fdr-sweep": cmd_fdr_sweep,
-    "fdp-dist": cmd_fdp_dist,
-    "bound": cmd_bound,
-    "counterexample": cmd_counterexample,
-    "validate": cmd_validate,
+    "fdr-sweep": (cmd_fdr_sweep, _CONFIG_FLAGS),
+    "fdp-dist": (cmd_fdp_dist, _CONFIG_FLAGS),
+    "bound": (cmd_bound, _CONFIG_FLAGS),
+    "counterexample": (cmd_counterexample, ()),
+    "validate": (cmd_validate, _CONFIG_FLAGS + ("n",)),
 }
 
 

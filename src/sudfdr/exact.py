@@ -34,10 +34,12 @@ views of the band; when the band covers more than half of the kernel (w >
 one plain product.  The bands of consecutive moving steps of both
 populations are built in one batched expression of at most 2^14 entries
 (one kernel at a time once a kernel is that large), at the widest band
-among them, and each batch is used up before the next is built.  In the FM
-state P[r0, r1] each exit anti-diagonal r0 + r1 = m - i + 1 is read and
-cleared through a strided slice of the C-contiguous array; the RM null
-moves work on a skewed view of the (n0, r) state that indexes it by (n1, r).
+among them, and each batch is used up before the next is built.  Each
+state move is a view of the state times the next kernel: the FM state
+P[r0, r1] moves as P @ K (alternatives) and (P.T @ K).T (nulls), and is
+made C-contiguous for the strided slice that reads and clears each exit
+anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
+of the (n0, r) state that indexes it by (n1, r).
 
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
@@ -295,23 +297,17 @@ def _moves(lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray
 
 class _Blocks:
     """A kernel K with band w, held as its diagonal blocks B[j] = K[jw : jw +
-    2w, jw : jw + w] (strided views of its batch).  Two products are defined,
-    each one batched matmul over the blocks: X @ K, column block j of which
-    is X[:, jw : jw + 2w] @ B[j] (X padded with zero columns), and K.T @ X;
-    both may carry extra zero columns or rows."""
+    2w, jw : jw + w] (strided views of its batch).  It defines one product,
+    X @ K, as one batched matmul over the blocks: column block j of X @ K is
+    X[:, jw : jw + 2w] @ B[j], with X copied into a buffer padded with zero
+    columns, so X may be narrower than K or carry extra zero columns."""
 
     __array_ufunc__ = None  # ndarray @ _Blocks defers to _Blocks.__rmatmul__
 
-    def __init__(self, B: np.ndarray, transposed: bool = False):
-        self.B, self.transposed = B, transposed
-
-    @property
-    def T(self) -> "_Blocks":
-        return _Blocks(self.B, not self.transposed)
+    def __init__(self, B: np.ndarray):
+        self.B = B
 
     def __rmatmul__(self, X: np.ndarray) -> np.ndarray:  # X @ K
-        if self.transposed:
-            return NotImplemented
         blocks, h, w = self.B.shape
         r, c = X.shape[0], (blocks + 1) * w
         Xp = np.zeros((r, c))
@@ -319,16 +315,6 @@ class _Blocks:
         out = np.empty((r, blocks * w))
         np.matmul(np.ndarray((blocks, r, h), float, Xp, 0, (8 * w, 8 * c, 8)), self.B, out=out.reshape(r, blocks, w).transpose(1, 0, 2))
         return out
-
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:  # K.T @ X
-        if not self.transposed:
-            return NotImplemented
-        blocks, h, w = self.B.shape
-        c = X.shape[1]
-        Xp = np.zeros(((blocks + 1) * w, c))
-        Xp[: len(X)] = X
-        Xb = np.ndarray((blocks, h, c), float, Xp, 0, (8 * w * c, 8 * c, 8))
-        return (self.B.transpose(0, 2, 1) @ Xb).reshape(-1, c)
 
 
 def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
@@ -361,9 +347,10 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
         if i > start:
             move0, move1 = move[i - start - 1]
             if move0:
-                P = next(K).T @ P[: a + 1, : b + 1]
+                P = (P[: a + 1, : b + 1].T @ next(K)).T
             if move1:
                 P = P[: a + 1, : b + 1] @ next(K)
+            P = np.ascontiguousarray(P)
         # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i)
         # leaves; P is C-contiguous and may carry extra zero rows and columns
         lo, hi = max(0, L - b), min(a, L)
@@ -416,7 +403,7 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
             move0, move1 = move[i - start - 1]
             if move0:
                 shear = S[:, : L + 1]
-                shear[...] = (np.ascontiguousarray(shear) @ next(K))[:, : L + 1]
+                shear[...] = (shear @ next(K))[:, : L + 1]
             if move1:
                 P[:, : L + 1] = (P[:, : L + 1] @ next(K))[:, : L + 1]
         out[i - 1] = P[:, L]
@@ -552,6 +539,11 @@ def fdp_cdf(t: ThresholdCollection, lam: int, cfg: MixtureConfig, x: float) -> f
     return min(math.fsum(pmf.masses[below].tolist()), 1.0)
 
 
+def _fdp_bin(fdp: np.ndarray, bins: int) -> np.ndarray:
+    """The bin of each FDP value, floor(fdp * bins); the atom at 1 is bin `bins`."""
+    return np.minimum(np.floor(fdp * bins + 1e-9).astype(np.int64), bins)
+
+
 def fdp_pmf_histogram(t: ThresholdCollection, lam: int, cfg: MixtureConfig, bins: int) -> np.ndarray:
     """Bin masses P(FDP in [i/bins, (i+1)/bins)) for i = 0..bins.
 
@@ -561,14 +553,13 @@ def fdp_pmf_histogram(t: ThresholdCollection, lam: int, cfg: MixtureConfig, bins
     if bins < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
     pmf = sud_joint_masses(t, lam, cfg)
-    idx = np.minimum(np.floor(_fdp_values(pmf.m) * bins + 1e-9).astype(int), bins)
+    idx = _fdp_bin(_fdp_values(pmf.m), bins)
     return np.asarray([math.fsum(pmf.masses[idx == b].tolist()) for b in range(bins + 1)])
 
 
 def fdp_mean(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> float:
-    """Expectation of the FDP taken over the joint masses (equals the FDR)."""
-    pmf = sud_joint_masses(t, lam, cfg)
-    return math.fsum((_fdp_values(pmf.m) * pmf.masses).ravel().tolist())
+    """Expectation of the FDP taken over the joint masses, which is the FDR."""
+    return fdr_sud(t, lam, cfg).fdr
 
 
 # ---------------------------------------------------------------------------

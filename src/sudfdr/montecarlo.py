@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sudfdr.exact import _fdp_bin
 from sudfdr.models import MixtureConfig, sample_families
 from sudfdr.thresholds import ThresholdCollection
 
@@ -191,7 +192,7 @@ def simulate_fdp_hist(
     t: ThresholdCollection, lam: int, cfg: MixtureConfig, n: int, bins: int, seed: int
 ) -> McEstimate:
     """Binned FDP frequencies; bin i covers [i/bins, (i+1)/bins), the last
-    bin holding the atom at 1.  Mirrors the exact histogram convention."""
+    bin holding the atom at 1, by the bin rule of the exact histogram."""
     if bins < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
     counts = np.zeros(bins + 1, dtype=np.int64)
@@ -199,8 +200,7 @@ def simulate_fdp_hist(
     total_sq = []
     for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
         fdp = v / np.maximum(khat, 1)
-        idx = np.minimum(np.floor(fdp * bins + 1e-9).astype(np.int64), bins)
-        counts += np.bincount(idx, minlength=bins + 1)
+        counts += np.bincount(_fdp_bin(fdp, bins), minlength=bins + 1)
         total.append(float(np.sum(fdp)))
         total_sq.append(float(np.sum(fdp * fdp)))
     mean, se = _mean_se(math.fsum(total), math.fsum(total_sq), n)
@@ -213,13 +213,11 @@ def simulate_fdp_hist(
 def simulate_kfwer(
     t: ThresholdCollection, lam: int, cfg: MixtureConfig, k: int, n: int, seed: int
 ) -> McEstimate:
-    """Frequency of {at least k false rejections}."""
+    """Frequency of {at least k false rejections}, read off the joint counts."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    n_hits = 0
-    for _, _, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
-        n_hits += int(np.sum(v >= k))
-    mean, se = _mean_se(float(n_hits), float(n_hits), n)  # indicator: x^2 = x
+    n_hits = float(simulate_joint_counts(t, lam, cfg, n, seed)[:, k:].sum())
+    mean, se = _mean_se(n_hits, n_hits, n)  # indicator: x^2 = x
     return McEstimate(mean=mean, std_error=se, n_replicates=n, seed=seed)
 
 

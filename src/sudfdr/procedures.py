@@ -68,6 +68,8 @@ def sud_khat(p, t: ThresholdCollection, lam: int, m0: int | None = None) -> SudO
     m = t.m
     if len(p) != m:
         raise ValueError(f"expected {m} p-values, got {len(p)}")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+        raise ValueError("p-values must lie in [0, 1]")
     if not 1 <= lam <= m:
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     ps = np.sort(p)

@@ -114,6 +114,65 @@ def test_counterexample_passes(capsys):
     assert sum("[OK]" in line for line in out.splitlines()) == 8
 
 
+def test_counterexample_out_file(tmp_path, capsys):
+    dest = tmp_path / "check.txt"
+    code, out, _ = _run(capsys, "counterexample", "--out", str(dest))
+    assert code == EXIT_OK and out == ""
+    assert dest.read_text().strip().endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--set", "m=20"],
+        ["counterexample", "--format", "json"],
+        ["counterexample", "--n", "5"],
+        ["bound", "--n", "7"],
+        ["fdr-sweep", "--n", "7"],
+        ["fdp-dist", "--n", "7"],
+    ],
+)
+def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fdr-sweep", ["--out", "--config", "--set", "--seed", "--format"]),
+        ("fdp-dist", ["--out", "--config", "--set", "--seed", "--format"]),
+        ("bound", ["--out", "--config", "--set", "--seed", "--format"]),
+        ("counterexample", ["--out"]),
+        ("validate", ["--out", "--config", "--set", "--seed", "--format", "--n"]),
+    ],
+)
+def test_help_lists_only_the_flags_a_command_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    listed = [word.strip("[]") for word in usage.split() if word.startswith("[--")]
+    assert listed == flags
+
+
+def test_repeated_orders_are_computed_once(capsys):
+    code, out, _ = _run(capsys, "fdr-sweep", "--format", "json", "--set", "lambdas=[4,4,2]")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [(r["F"], r["lambda"]) for r in rows] == [
+        (F, lam) for F in ("dirac_zero", "gaussian", "identity") for lam in (2, 4)
+    ]
+    cases = json.dumps([{"model": "FM", "m0": 7, "F": {"kind": "identity"}}])
+    code, out, _ = _run(
+        capsys, "validate", "--n", "100", "--set", f"cases={cases}", "--set", "lambdas=[5,5]", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert [r["lambda"] for r in json.loads(out)["rows"]] == [5]
+
+
 def test_validate_small_grid(capsys):
     cases = json.dumps([{"model": "FM", "m0": 7, "F": {"kind": "identity"}}])
     code, out, _ = _run(

@@ -340,6 +340,36 @@ def _dense_moves(lf, sizes, drop, stay):
     return move.tolist(), kernels
 
 
+def _dense_from_blocks(K: "exact._Blocks", n: int) -> np.ndarray:
+    """The (n + 1) square kernel whose diagonal blocks K holds."""
+    blocks, h, w = K.B.shape
+    dense = np.zeros((blocks * w + h, blocks * w))
+    for j in range(blocks):
+        dense[j * w : j * w + h, j * w : (j + 1) * w] = K.B[j]
+    assert not dense[n + 1 :].any() and not dense[:, n + 1 :].any()
+    return dense[: n + 1, : n + 1]
+
+
+@pytest.mark.parametrize("n, drop, partial", [(200, 0.01, True), (150, 0.05, True), (299, 0.002, False)])
+def test_blocks_product_equals_dense_product(n, drop, partial):
+    # X @ K for an X as wide as K, narrower than K, and carrying extra zero
+    # columns, on kernels whose last block is partial or whole
+    _, kernels = exact._moves(exact._log_factorials(n), np.array([[n]]), np.array([[drop]]), np.array([[1.0 - drop]]))
+    K = next(kernels)
+    assert isinstance(K, exact._Blocks)
+    w = K.B.shape[2]
+    assert ((n + 1) % w != 0) == partial
+    dense = _dense_from_blocks(K, n)
+    np.testing.assert_allclose(dense, _dense_kernel(n, drop, 1.0 - drop), rtol=1e-12, atol=1e-38)
+    rng = np.random.default_rng(n)
+    for cols, extra in [(n + 1, 0), (n + 1 - w // 2, 0), (n // 3, 0), (n + 1, w)]:
+        X = np.zeros((7, cols + extra))
+        X[:, :cols] = rng.random((7, cols))
+        out = X @ K
+        assert out.shape[1] >= n + 1 and not out[:, n + 1 :].any()
+        np.testing.assert_allclose(out[:, : n + 1], X[:, :cols] @ dense[:cols], rtol=1e-14, atol=1e-16)
+
+
 @pytest.mark.parametrize("m", [100, 300])
 def test_banded_count_matches_dense_count(monkeypatch, m):
     # The same counts with every kernel dense, on thresholds with t_1 = 0,

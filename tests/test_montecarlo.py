@@ -166,6 +166,15 @@ def test_sweep_counts_a_repeated_order_once():
     assert 0.2 < once[5].mean < 0.5
 
 
+def test_kfwer_reads_the_joint_counts():
+    # both draw the same replicates; V >= k is the columns k.. of the counts
+    m, n, seed = 10, 70_000, 5
+    counts = simulate_joint_counts(T10, 5, _GAUSS_FM, n, seed)
+    for k in range(1, m + 2):
+        est = simulate_kfwer(T10, 5, _GAUSS_FM, k=k, n=n, seed=seed)
+        assert est.mean == counts[:, k:].sum() / n
+
+
 T_TIES = ThresholdCollection((0.0, 0.1, 0.1, 0.1, 0.3, 0.3, 0.5, 0.5, 0.8, 1.0))
 
 

@@ -73,6 +73,16 @@ def test_input_validation():
         sud_khat([0.1, 0.2, 0.3, 0.4], t, 5)
 
 
+@pytest.mark.parametrize(
+    "p", [[math.nan, 0.01, 0.02, 0.03], [-0.5, 1.7, 0.02, 0.03], [0.01, 0.02, 0.03, -0.0001]]
+)
+def test_p_values_outside_unit_interval_are_rejected(p):
+    t = from_rho(LinearCurve(0.5), 4)
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        sud_khat(p, t, 2, m0=2)
+    assert sud_khat([0.0, 0.01, 0.02, 1.0], t, 2).k_hat == 3  # both ends are p-values
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=12))
 @settings(max_examples=150, deadline=None)
 def test_boundary_orders_match_classical_rules(p):
