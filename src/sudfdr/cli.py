@@ -9,9 +9,10 @@ counterexample  built-in check that the point-mass-at-zero alternative is
                 not least favorable at intermediate SUD orders
 validate        exact-vs-Monte-Carlo cross-validation grid
 
-Every CSV starts with a header block (tool version, config echo, seed) so a
-run is reproducible from its own output file.  Exit codes: 0 success/PASS,
-1 usage or config error, 2 numerical-precision failure, 3 validation FAIL.
+Every CSV starts with a header block (tool version, config echo and, for
+validate, the seed) so a run is reproducible from its own output file.
+Exit codes: 0 success/PASS, 1 usage or config error, 2 numerical-precision
+failure, 3 validation FAIL.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from sudfdr import __version__
 from sudfdr.bounds import BoundInputs, gap_bound_fm, gap_bound_rm
 from sudfdr.exact import PrecisionError, fdp_pmf_histogram, fdr_sud
-from sudfdr.models import mixture_from_config
+from sudfdr.models import _json_int, mixture_from_config
 from sudfdr.montecarlo import cross_validate, simulate_fdr
 from sudfdr.thresholds import curve_from_config, from_rho
 
@@ -55,7 +56,7 @@ _FLAGS = {
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "n": {"type": int, "help": "Monte-Carlo replicates"},
 }
-_CONFIG_FLAGS = ("config", "set", "seed", "format")
+_CONFIG_FLAGS = ("config", "set", "format")
 
 
 def build_parser() -> _Parser:
@@ -121,7 +122,7 @@ def _lambdas(cfg: dict, m: int) -> list:
     lam = cfg.get("lambdas", "all")
     if lam == "all":
         return list(range(1, m + 1))
-    lams = {int(x) for x in _as_list(lam)}
+    lams = {_json_int(x, "lambdas") for x in _as_list(lam)}
     if not lams:
         raise ValueError("empty lambda set")
     return sorted(lams)
@@ -132,7 +133,7 @@ def _emit(args, cfg: dict, columns: list, rows: list):
         doc = {
             "tool": "sudfdr",
             "version": __version__,
-            "seed": args.seed,
+            **({"seed": args.seed} if "seed" in args else {}),
             "config": cfg,
             "rows": [dict(zip(columns, row)) for row in rows],
         }
@@ -141,7 +142,8 @@ def _emit(args, cfg: dict, columns: list, rows: list):
         buf = io.StringIO()
         buf.write(f"# sudfdr {__version__}\n")
         buf.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-        buf.write(f"# seed: {args.seed}\n")
+        if "seed" in args:
+            buf.write(f"# seed: {args.seed}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -185,7 +187,7 @@ def cmd_fdr_sweep(args) -> int:
             ],
         },
     )
-    m = int(cfg["m"])
+    m = _json_int(cfg["m"], "m")
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
     model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in cfg["alternatives"]]
@@ -240,11 +242,11 @@ def cmd_fdp_dist(args) -> int:
             "F": {"kind": "gaussian", "mu": 1.0},
         },
     )
-    m = int(cfg["m"])
-    bins = int(cfg["bins"])
+    m = _json_int(cfg["m"], "m")
+    bins = _json_int(cfg["bins"], "bins")
     t = from_rho(_curve(cfg), m)
     model_cfg = mixture_from_config(cfg)
-    masses = fdp_pmf_histogram(t, int(cfg["lambda"]), model_cfg, bins)
+    masses = fdp_pmf_histogram(t, _json_int(cfg["lambda"], "lambda"), model_cfg, bins)
     rows = []
     for i, mass in enumerate(masses):
         lo = i / bins
@@ -275,7 +277,7 @@ def cmd_bound(args) -> int:
     kappa = float(cfg["kappa"])
     rows = []
     grid = itertools.product(
-        sorted(int(x) for x in _as_list(cfg["m"])),
+        sorted(_json_int(x, "m") for x in _as_list(cfg["m"])),
         sorted(float(x) for x in _as_list(cfg["zeta"])),
         sorted(float(x) for x in _as_list(cfg["delta"])),
     )
@@ -374,10 +376,10 @@ def cmd_validate(args) -> int:
             ],
         },
     )
-    m = int(cfg["m"])
+    m = _json_int(cfg["m"], "m")
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
-    n = args.n if args.n is not None else int(cfg["n"])
+    n = args.n if args.n is not None else _json_int(cfg["n"], "n")
     sigmas = float(cfg["sigmas"])
     rows = []
     all_pass = True
@@ -415,7 +417,7 @@ _COMMANDS = {
     "fdp-dist": (cmd_fdp_dist, _CONFIG_FLAGS),
     "bound": (cmd_bound, _CONFIG_FLAGS),
     "counterexample": (cmd_counterexample, ()),
-    "validate": (cmd_validate, _CONFIG_FLAGS + ("n",)),
+    "validate": (cmd_validate, ("config", "set", "seed", "format", "n")),
 }
 
 

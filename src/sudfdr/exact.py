@@ -20,7 +20,10 @@ starts there: one jump moves every point from above 0 to above t_lambda,
 giving the product state Bin(m0, 1 - t_lambda) x Bin(m1, 1 - F(t_lambda)),
 the outer product of two binomial p.m.f. rows, and the states that would
 have left at the tied steps are cut.  The reflected capped collection
-likewise starts at step m - lambda + 1.
+likewise starts at step m - lambda + 1.  Every dense binomial p.m.f. row
+(the jumps, the RM null/alternative splits and the widest kernel rows that
+set the bands) comes from one batched builder, _binomial_rows.  The RM
+step-up law and steck.psi run one single-population count, _exits.
 
 A step's kernel K[r, s] = P(s of r points stay) is built only on its band
 0 <= r - s < w: w is the smallest width that keeps every entry of its widest
@@ -153,7 +156,7 @@ class FdrResult:
 
 _BATCH_ENTRIES = 1 << 14  # band entries built at once
 _BANDED_MIN = 64  # smaller kernels stay dense: there the band saves less than it costs to find
-_LOG_CUT = math.log(1e-40)  # the band keeps every entry of its widest row above this
+_CUT = 1e-40  # the band keeps every entry of its widest row of at least this
 # log 0: k * _LOG_ZERO for a count k >= 1 outweighs every log-binomial here,
 # so its exp is 0, and the rounding error of r * _LOG_ZERO, which a fused
 # multiply-add in the rank-2 product of _binomial_batch leaves uncancelled,
@@ -174,39 +177,39 @@ def _log_factorials(n: int) -> np.ndarray:
     return buf[n + 1 :]
 
 
-def _log0(x: float) -> float:
-    """log x, with log 0 = _LOG_ZERO so that 0 * log 0 = 0 and nothing is NaN."""
-    return math.log(x) if x > 0.0 else _LOG_ZERO
-
-
 def _log(x: np.ndarray) -> np.ndarray:
-    """_log0 elementwise."""
+    """log x elementwise, with log 0 = _LOG_ZERO so that 0 * log 0 = 0 and nothing is NaN."""
     return np.log(x, out=np.full(x.shape, _LOG_ZERO), where=x > 0.0)
 
 
-def _binomial_pmf(lf: np.ndarray, n: int, drop: float, stay: float) -> np.ndarray:
-    """P(s of n points stay), s = 0..n, when each drops or stays with odds
-    drop : stay."""
-    s = np.arange(n + 1.0)
-    p = np.exp(lf[n] - lf[: n + 1] - lf[n::-1] + s * _log0(stay / (drop + stay)) + s[::-1] * _log0(drop / (drop + stay)))
-    return p / p.sum()
+def _binomial_rows(lf: np.ndarray, n: np.ndarray, log_success, log_failure) -> np.ndarray:
+    """P(s of n[i] points succeed), s = 0..max(n), one normalized row per
+    n[i], when each point succeeds with log-probability log_success and fails
+    with log-probability log_failure (one of each per row, or one for all);
+    0 for s > n[i], where log C(n[i], s) reads -inf."""
+    n = n[:, None]
+    s = np.arange(int(n.max()) + 1)
+    d = n - s
+    rows = lf[n] - lf[: len(s)] - lf[d] + s * np.asarray(log_success)[..., None]
+    rows += d * np.asarray(log_failure)[..., None]
+    np.exp(rows, out=rows)
+    return np.divide(rows, rows.sum(axis=1, keepdims=True), out=rows)
 
 
 def _band_widths(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     """The band of each kernel: one more than the largest number of drops
-    whose probability in row n, the widest, is at least 1e-40; the whole
+    whose probability in row n, the widest, is at least _CUT; the whole
     kernel, n + 1, when that is more than half of it or the kernel has fewer
     than _BANDED_MIN rows."""
     w = n + 1
     wide = (w >= _BANDED_MIN).nonzero()[0]
     if not wide.size:
         return w
-    chunk = max(1, _BATCH_ENTRIES // 4 // int(w.max()))  # the test below makes about four such tables
+    chunk = max(1, _BATCH_ENTRIES // 4 // int(w.max()))  # _binomial_rows makes about four such tables
     for lo in range(0, len(wide), chunk):
         i = wide[lo : lo + chunk]
-        r, d = n[i, None], np.arange(w[i].max())
-        keep = lf[r] - lf[d] - lf[r - d] + (r - d) * lq[i, None] + d * lp[i, None] >= _LOG_CUT
-        w[i] = len(d) - keep[:, ::-1].argmax(axis=1)
+        keep = _binomial_rows(lf, n[i], lp[i], lq[i]) >= _CUT
+        w[i] = keep.shape[1] - keep[:, ::-1].argmax(axis=1)
     return np.where(2 * w > n + 1, n + 1, w)
 
 
@@ -242,13 +245,6 @@ def _binomial_batch(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarra
     Z = np.zeros((len(rows) + pad, 2 * width))
     np.divide(band, (band @ np.ones(width))[:, None], out=Z[: len(rows), width:])
     return Z
-
-
-def _increments(v: np.ndarray) -> np.ndarray:
-    """v[i] - v[i-1], with v[-1] = 0."""
-    d = v.copy()
-    d[1:] -= v[:-1]
-    return d
 
 
 def _moves(lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray):
@@ -336,9 +332,10 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     lf = _log_factorials(max(m0, m1))
     live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
     v = np.array((u0[start - 1 :], u1[start - 1 :])).T
-    move, K = _moves(lf, np.minimum(live[1:, None], (m0, m1)), _increments(v)[1:], 1.0 - v[1:])
+    move, K = _moves(lf, np.minimum(live[1:, None], (m0, m1)), v[1:] - v[:-1], 1.0 - v[1:])
     a, b = min(m0, live[0]), min(m1, live[0])
-    P = np.outer(_binomial_pmf(lf, m0, v[0, 0], 1.0 - v[0, 0])[: a + 1], _binomial_pmf(lf, m1, v[0, 1], 1.0 - v[0, 1])[: b + 1])
+    P = _binomial_rows(lf, np.array((m0, m1)), *_log(np.array((1.0 - v[0], v[0]))))  # points that stay above
+    P = np.outer(P[0, : a + 1], P[1, : b + 1])
     P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
     out = np.zeros((m + 1, m + 1))
     for i in range(start, m + 1):
@@ -362,6 +359,26 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     return out
 
 
+def _exits(u: np.ndarray, start: int = 1) -> np.ndarray:
+    """The exit law out[k] = M[k, k] of M = _sd_fm_masses(u, zeros, m, start)
+    of m = len(u) points, each below the i-th threshold with probability
+    u[i-1], counted on a one-row state P[0, r] of the points still above."""
+    m = len(u)
+    lf = _log_factorials(m)
+    live = np.arange(m - start + 1, 0, -1)
+    v = u[start - 1 :, None]
+    move, K = _moves(lf, live[1:, None], v[1:] - v[:-1], 1.0 - v[1:])
+    P = _binomial_rows(lf, np.array((m,)), *_log(np.array((1.0 - v[0], v[0]))))[:, : live[0] + 1]
+    out = np.zeros(m + 1)
+    for i, L in enumerate(live.tolist(), start):
+        if i > start and move[i - start - 1][0]:
+            P = P[:, : L + 1] @ next(K)
+        out[i - 1] = P[0, L]  # only i - 1 points below t_i
+        P[0, L] = 0.0
+    out[m] = P[0, 0]
+    return out
+
+
 def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
     """Step-down count in RM(m, pi0, F): masses[k, j] as in _sd_fm_masses,
     with the same jump start.
@@ -377,25 +394,22 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     lf = _log_factorials(m)
     live = np.arange(m - start + 1, 0, -1)
     tt, FF = t[start - 1 :], Fv[start - 1 :]
-    w0 = pi0 * _increments(tt)
-    w1 = (1.0 - pi0) * _increments(FF)
+    w0 = pi0 * (tt[1:] - tt[:-1])
+    w1 = (1.0 - pi0) * (FF[1:] - FF[:-1])
     above = pi0 * (1.0 - tt) + (1.0 - pi0) * (1.0 - FF)
     move, K = _moves(
-        lf, live[1:, None].repeat(2, axis=1), np.array((w0[1:], w1[1:])).T, np.array((w1[1:] + above[1:], above[1:])).T
+        lf, live[1:, None].repeat(2, axis=1), np.array((w0, w1)).T, np.array((w1 + above[1:], above[1:])).T
     )
     pad = int(live[0])
     Z = np.zeros((pad + m + 1, pad + 1))
     P = Z[pad:]
     row, col = Z.strides
     S = as_strided(Z[pad + m :], (m + 1, pad + 1), (-row, col - row))
-    # the jump: r of the m points stay above, and n0 of the m - r that drop
-    # are nulls
-    drop = w0[0] + w1[0]
-    null, alt = (w0[0] / drop, w1[0] / drop) if drop > 0.0 else (0.0, 1.0)
-    r, n0 = np.arange(pad + 1)[:, None], np.arange(m + 1)
-    split = np.exp(lf[m - r] - lf[n0] - lf[m - r - n0] + n0 * _log0(null) + (m - r - n0) * _log0(alt))
-    split *= (_binomial_pmf(lf, m, drop, above[0])[: pad + 1, None] / split.sum(axis=1, keepdims=True))
-    P[...] = split.T
+    # the jump: r of the m points stay above, and n0 of the m - r that drop are nulls
+    drop = pi0 * tt[0] + (1.0 - pi0) * FF[0]
+    null, alt = (pi0 * tt[0] / drop, (1.0 - pi0) * FF[0] / drop) if drop > 0.0 else (0.0, 1.0)
+    stay = _binomial_rows(lf, np.array((m,)), *_log(np.array((above[0], drop)) / (drop + above[0])))
+    P[...] = (_binomial_rows(lf, m - np.arange(pad + 1), *_log(np.array((null, alt)))) * stay[0, : pad + 1, None]).T
     out = np.zeros((m + 1, m + 1))
     for i in range(start, m + 1):
         L = m - i + 1
@@ -433,18 +447,15 @@ def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     pi0*t_k/G(t_k) each.  `start` is as in _su_fm_masses."""
     m = len(t)
     above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = np.diag(_sd_fm_masses(above, np.zeros(m), m, start))[::-1]  # P(|R| = k)
-    tk = np.concatenate(([0.0], t))[:, None]
-    Fk = np.concatenate(([0.0], Fv))[:, None]
+    counts = _exits(above, start)[::-1]  # P(|R| = k)
+    tk = np.concatenate(([0.0], t))
+    Fk = np.concatenate(([0.0], Fv))
     G = pi0 * tk + (1.0 - pi0) * Fk
     hit = G > 0.0  # where G(t_k) = 0, P(|R| = k) = 0 for k >= 1
-    safe = np.where(hit, G, 1.0)
-    null = np.where(hit, pi0 * tk / safe, 1.0)
-    alt = np.where(hit, (1.0 - pi0) * Fk / safe, 0.0)
-    lf = _log_factorials(m)
-    k = np.arange(m + 1)
-    split = np.exp(lf[: m + 1, None] - lf[k] - lf[k[:, None] - k] + (k[:, None] - k) * _log(alt) + k * _log(null))
-    return counts[:, None] * split / split.sum(axis=1, keepdims=True)
+    null = np.divide(pi0 * tk, G, out=np.ones(m + 1), where=hit)
+    alt = np.divide((1.0 - pi0) * Fk, G, out=np.zeros(m + 1), where=hit)
+    split = _binomial_rows(_log_factorials(m), np.arange(m + 1), _log(null), _log(alt))
+    return np.multiply(split, counts[:, None], out=split)
 
 
 def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:

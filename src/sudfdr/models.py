@@ -234,12 +234,19 @@ def cdf_from_config(cfg: dict) -> AlternativeCdf:
     raise ValueError(f"unknown alternative c.d.f. kind: {kind!r}")
 
 
+def _json_int(x, key: str) -> int:
+    """x when it is a JSON integer; a float or a bool raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{key} must be an integer, got {x!r}")
+    return x
+
+
 def mixture_from_config(cfg: dict) -> MixtureConfig:
     """Build a MixtureConfig from the JSON wire format."""
     model = cfg.get("model")
     F = cdf_from_config(cfg["F"])
     if model == "FM":
-        return MixtureConfig(model="FM", m=int(cfg["m"]), m0=int(cfg["m0"]), F=F)
+        return MixtureConfig(model="FM", m=_json_int(cfg["m"], "m"), m0=_json_int(cfg["m0"], "m0"), F=F)
     if model == "RM":
-        return MixtureConfig(model="RM", m=int(cfg["m"]), pi0=float(cfg["pi0"]), F=F)
+        return MixtureConfig(model="RM", m=_json_int(cfg["m"], "m"), pi0=float(cfg["pi0"]), F=F)
     raise ValueError(f"unknown model: {model!r}")

@@ -20,8 +20,6 @@ the sampled p-values in place.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -61,13 +59,6 @@ class VerdictReport:
     exact: float
     estimate: McEstimate
     sigmas: float
-
-
-def config_hash(t: ThresholdCollection, lam, cfg: MixtureConfig) -> str:
-    payload = json.dumps(
-        {"t": list(t.t), "lambda": lam, "cfg": cfg.to_config()}, sort_keys=True
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:

@@ -7,12 +7,13 @@ k0 of the variables are uniform and the other k - k0 have c.d.f. F.
 
 Both are forward counts: the number of points still above the threshold is
 carried past t_1, t_2, ... with binomial transitions, and the states with
-fewer than i points below t_i are cut.  psi runs its own one-population
-count on the kernels of sudfdr.exact; psi_two_pop is the no-exit cell of the
-engine's step-down count.  Every term is a nonnegative product, so nothing
-is clamped: the masses of each count (the cut ones and the survivors) pass
-the engine's mass check, which raises PrecisionError when double precision
-runs out.
+fewer than i points below t_i are cut.  psi is the no-exit mass of the
+engine's one-population count exact._exits, the count the RM step-up law
+also runs, and never calls the two-population count; psi_two_pop is the
+no-exit cell of the engine's step-down count.  Every term is a nonnegative
+product, so nothing is clamped: the masses of each count (the cut ones and
+the survivors) pass the engine's mass check, which raises PrecisionError
+when double precision runs out.
 
 psi_rational and psi_two_pop_rational run the two-population count in exact
 integer arithmetic, to calibrate the double-precision error.
@@ -44,27 +45,13 @@ def _check_k0(k0: int, k: int):
 
 
 def psi(t) -> float:
-    """P(U_(1) <= t_1, ..., U_(k) <= t_k) for k i.i.d. uniforms.
-
-    The state v[r] is the probability that r of the uniforms lie above t_i
-    and the staircase has not been crossed.
-    """
+    """P(U_(1) <= t_1, ..., U_(k) <= t_k) for k i.i.d. uniforms: the no-exit
+    mass of the one-population count exact._exits."""
     t = np.asarray(t, dtype=float)
     _check_thresholds(t)
-    k = len(t)
-    live = np.arange(k, 0, -1)  # at most k - i + 1 points lie above t_i
-    move, K = exact._moves(exact._log_factorials(k), live[:, None], exact._increments(t)[:, None], 1.0 - t[:, None])
-    v = np.zeros((1, k + 1))
-    v[0, k] = 1.0
-    out = np.zeros(k + 1)  # out[i-1]: mass cut at t_i; out[k]: no crossing
-    for i, L in enumerate(live.tolist()):
-        if move[i][0]:
-            v = v[:, : L + 1] @ next(K)
-        out[i] = v[0, L]  # only i - 1 points below t_i
-        v[0, L] = 0.0
-    out[k] = v[0, 0]
+    out = exact._exits(t) if len(t) else np.ones(1)  # nothing to cross
     exact._check_masses(out)
-    return float(out[k])
+    return float(out[-1])
 
 
 def psi_two_pop(t, k0: int, F: AlternativeCdf) -> float:

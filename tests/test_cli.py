@@ -30,7 +30,7 @@ def test_fdr_sweep_csv_header_and_rows(capsys):
     assert header[0] == f"# sudfdr {__version__}"
     assert header[1].startswith("# config: ")
     assert json.loads(header[1][len("# config: ") :])["m"] == 10
-    assert header[2].startswith("# seed: ")
+    assert len(header) == 2  # the exact commands read no seed
     # 3 alternatives x 10 lambdas
     assert len(rows) == 30
     identity_lsu = [r for r in rows if r["F"] == "identity" and r["lambda"] == "10"]
@@ -130,6 +130,7 @@ def test_counterexample_out_file(tmp_path, capsys):
         ["bound", "--n", "7"],
         ["fdr-sweep", "--n", "7"],
         ["fdp-dist", "--n", "7"],
+        ["fdr-sweep", "--seed", "1"],
     ],
 )
 def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
@@ -142,9 +143,9 @@ def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("fdr-sweep", ["--out", "--config", "--set", "--seed", "--format"]),
-        ("fdp-dist", ["--out", "--config", "--set", "--seed", "--format"]),
-        ("bound", ["--out", "--config", "--set", "--seed", "--format"]),
+        ("fdr-sweep", ["--out", "--config", "--set", "--format"]),
+        ("fdp-dist", ["--out", "--config", "--set", "--format"]),
+        ("bound", ["--out", "--config", "--set", "--format"]),
         ("counterexample", ["--out"]),
         ("validate", ["--out", "--config", "--set", "--seed", "--format", "--n"]),
     ],
@@ -156,6 +157,40 @@ def test_help_lists_only_the_flags_a_command_reads(capsys, command, flags):
     usage = capsys.readouterr().out.split("\n\n")[0]
     listed = [word.strip("[]") for word in usage.split() if word.startswith("[--")]
     assert listed == flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fdr-sweep", "--set", "lambdas=[4.7]"],
+        ["fdr-sweep", "--set", "m=10.7"],
+        ["fdr-sweep", "--set", "m0=7.0"],
+        ["fdr-sweep", "--set", "m0=true"],
+        ["fdp-dist", "--set", "lambda=4.7"],
+        ["fdp-dist", "--set", "bins=2.5"],
+        ["fdp-dist", "--set", "lambda=true"],
+        ["bound", "--set", "m=[100.9]"],
+        ["validate", "--set", "n=100.5"],
+        ["validate", "--n", "100", "--set", "m=10.0"],
+    ],
+)
+def test_non_integer_config_value_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "must be an integer" in err
+    assert out == ""
+
+
+def test_only_validate_writes_a_seed(capsys):
+    cases = json.dumps([{"model": "FM", "m0": 7, "F": {"kind": "identity"}}])
+    argv = ["validate", "--n", "100", "--seed", "5", "--set", f"cases={cases}", "--set", "lambdas=[10]"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    assert _parse_csv(out)[0][2] == "# seed: 5"
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["seed"] == 5
+    code, out, _ = _run(capsys, "bound", "--format", "json")
+    assert code == EXIT_OK and "seed" not in json.loads(out)
 
 
 def test_repeated_orders_are_computed_once(capsys):

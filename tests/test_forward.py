@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
+from scipy.stats import binom
 
 from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
 from sudfdr import exact, steck
@@ -350,6 +351,30 @@ def _dense_from_blocks(K: "exact._Blocks", n: int) -> np.ndarray:
     return dense[: n + 1, : n + 1]
 
 
+def test_binomial_rows_match_scipy():
+    # one batch: every n against every success probability, 0 and 1 included
+    sizes, probs = (0, 1, 9, 21, 300), (0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0)
+    n = np.array([k for _ in probs for k in sizes])
+    p = np.repeat(probs, len(sizes))
+    rows = exact._binomial_rows(exact._log_factorials(300), n, exact._log(p), exact._log(1.0 - p))
+    assert rows.shape == (len(n), 301)
+    for row, k, q in zip(rows, n.tolist(), p.tolist()):
+        np.testing.assert_allclose(row[: k + 1], binom.pmf(np.arange(k + 1), k, q), rtol=1e-11, atol=1e-300)
+        assert not row[k + 1 :].any()
+        assert abs(row.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [2, 30, 100, 300])
+def test_one_population_exits_match_the_two_population_count(m):
+    # the reference: the diagonal of the two-population count with no
+    # second population
+    u = _tied_thresholds(m).as_array()
+    for start in sorted({1, m // 2, m}):
+        exits = exact._exits(u, start)
+        two_pop = np.diag(exact._sd_fm_masses(u, np.zeros(m), m, start))
+        assert np.max(np.abs(exits - two_pop)) <= 1e-15, start
+
+
 @pytest.mark.parametrize("n, drop, partial", [(200, 0.01, True), (150, 0.05, True), (299, 0.002, False)])
 def test_blocks_product_equals_dense_product(n, drop, partial):
     # X @ K for an X as wide as K, narrower than K, and carrying extra zero
@@ -403,15 +428,16 @@ def test_banded_count_matches_dense_count(monkeypatch, m):
     [
         (MixtureConfig(model="FM", m=300, m0=210, F=IdentityCdf()), 300, 5.1),
         (MixtureConfig(model="FM", m=300, m0=210, F=GaussianLocationCdf(1.0)), 150, 4.38),
-        (MixtureConfig(model="RM", m=300, pi0=0.7, F=GaussianLocationCdf(1.0)), 150, 6.5),
+        (MixtureConfig(model="RM", m=300, pi0=0.7, F=GaussianLocationCdf(1.0)), 150, 5.5),
     ],
     ids=["FM-identity", "FM-gaussian", "RM-gaussian"],
 )
 def test_engine_peak_memory_is_bounded(cfg, lam, bound):
-    # in units of one (m+1)^2 float64 table: 5.00, 4.17 and 6.25 with banded
-    # kernels (4.97, 4.59 and 6.23 with dense ones; 5.21, 4.89 and 6.75 with
-    # a batch kept alive across steps; 4.97, 4.43 and 7.14 with one kernel
-    # per step and the RM state relaid out by gathers)
+    # in units of one (m+1)^2 float64 table: 4.98, 4.16 and 5.25 with the
+    # RM step-up on the one-population count (6.24 on the diagonal of the
+    # two-population count; 4.97, 4.59 and 6.23 with dense kernels; 5.21,
+    # 4.89 and 6.75 with a batch kept alive across steps; 4.97, 4.43 and 7.14
+    # with one kernel per step and the RM state relaid out by gathers)
     t = from_rho(LinearCurve(0.5), cfg.m)
     tracemalloc.start()
     try:

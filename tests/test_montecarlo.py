@@ -17,7 +17,6 @@ from sudfdr.montecarlo import (
     McEstimate,
     _chunk_rng,
     _outcomes,
-    config_hash,
     cross_validate,
     simulate_fdp_hist,
     simulate_fdr,
@@ -131,14 +130,6 @@ def test_cross_validate_verdicts():
     assert not cross_validate(0.6, degenerate, 4.0).passed
     with pytest.raises(ValueError):
         cross_validate(0.5, est, 0.0)
-
-
-def test_config_hash_stability():
-    cfg = _fm(GaussianLocationCdf(1.0))
-    h1 = config_hash(T10, 5, cfg)
-    h2 = config_hash(T10, 5, cfg)
-    assert h1 == h2 and len(h1) == 12
-    assert config_hash(T10, 6, cfg) != h1
 
 
 _GAUSS_FM = _fm(GaussianLocationCdf(1.0))
