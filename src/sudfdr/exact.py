@@ -408,8 +408,11 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     # the jump: r of the m points stay above, and n0 of the m - r that drop are nulls
     drop = pi0 * tt[0] + (1.0 - pi0) * FF[0]
     null, alt = (pi0 * tt[0] / drop, (1.0 - pi0) * FF[0] / drop) if drop > 0.0 else (0.0, 1.0)
-    stay = _binomial_rows(lf, np.array((m,)), *_log(np.array((above[0], drop)) / (drop + above[0])))
-    P[...] = (_binomial_rows(lf, m - np.arange(pad + 1), *_log(np.array((null, alt)))) * stay[0, : pad + 1, None]).T
+    # row 0: the stay row of all m points; row 1 + r: the split of m - r
+    logs = _log(np.array([(above[0] / (drop + above[0]), drop / (drop + above[0]))] + [(null, alt)] * (pad + 1)))
+    rows = _binomial_rows(lf, np.concatenate(((m,), m - np.arange(pad + 1))), logs[:, 0], logs[:, 1])
+    P[...] = np.multiply(rows[1:], rows[0, : pad + 1, None], out=rows[1:]).T
+    del rows
     out = np.zeros((m + 1, m + 1))
     for i in range(start, m + 1):
         L = m - i + 1
@@ -444,18 +447,22 @@ def _su_fm_masses(t: np.ndarray, Fv: np.ndarray, m0: int, start: int = 1) -> np.
 def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
     """Step-up law in RM: the count of p-values with c.d.f. G gives k, and
     the k rejected p-values, i.i.d. below t_k, are null with probability
-    pi0*t_k/G(t_k) each.  `start` is as in _su_fm_masses."""
+    pi0*t_k/G(t_k) each.  `start` is as in _su_fm_masses, and the split is
+    built only for the ranks k <= m - start + 1 that the count reaches."""
     m = len(t)
+    top = m - start + 1
     above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = _exits(above, start)[::-1]  # P(|R| = k)
-    tk = np.concatenate(([0.0], t))
-    Fk = np.concatenate(([0.0], Fv))
+    counts = _exits(above, start)[::-1][: top + 1]  # P(|R| = k), k = 0..top
+    tk = np.concatenate(([0.0], t[:top]))
+    Fk = np.concatenate(([0.0], Fv[:top]))
     G = pi0 * tk + (1.0 - pi0) * Fk
     hit = G > 0.0  # where G(t_k) = 0, P(|R| = k) = 0 for k >= 1
-    null = np.divide(pi0 * tk, G, out=np.ones(m + 1), where=hit)
-    alt = np.divide((1.0 - pi0) * Fk, G, out=np.zeros(m + 1), where=hit)
-    split = _binomial_rows(_log_factorials(m), np.arange(m + 1), _log(null), _log(alt))
-    return np.multiply(split, counts[:, None], out=split)
+    null = np.divide(pi0 * tk, G, out=np.ones(top + 1), where=hit)
+    alt = np.divide((1.0 - pi0) * Fk, G, out=np.zeros(top + 1), where=hit)
+    split = _binomial_rows(_log_factorials(m), np.arange(top + 1), _log(null), _log(alt))
+    out = np.zeros((m + 1, m + 1))
+    np.multiply(split, counts[:, None], out=out[: top + 1, : top + 1])
+    return out
 
 
 def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:

@@ -12,10 +12,17 @@ tie straddles the cut, and the false rejections V are the nulls among the
 k_hat smallest.  The sort therefore carries each p-value's null flag: every
 p lies in [+0.0, 1], so the int64 bit pattern of p orders like p and its top
 two bits are clear, and after a left shift the flag rides in its low bit
-through one in-place integer sort.  The result is two tables per chunk, the
-SUD rank of every replicate for every order and the running null count,
-from which V for any order lambda is one O(n) gather.  The sort consumes
-the sampled p-values in place.
+through one in-place integer sort.  The sort consumes the sampled p-values.
+
+The reduce is rank-major.  The null flags and the clearance matrix
+cleared[k] = (p_(k+1) <= t_(k+1)) of the sorted chunk are transposed once
+each into one row per rank, so every later step is whole-row arithmetic:
+the running null count is m row adds, and the SUD ranks come from two
+branch-free scans over the clearance rows that keep a row only for each
+requested order (the backward scan stops at the smallest of them and the
+forward scan at the largest).  V for an order lambda is then one O(n)
+gather from the null count.  A chunk's tables are freed before the next
+chunk is sampled.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+BLOCK = 1 << 15  # keys per block of the rank-major transpose
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,11 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _chunk_tables(rng, cfg: MixtureConfig, size: int, t_arr: np.ndarray):
-    """Sample one chunk and sort it once, in place; returns (khat, nulls).
-
-    khat is `_khat_table` of the clearance matrix; nulls[:, k] counts the
-    nulls among the k smallest p-values.  The null flag rides in the low bit
-    of the shifted int64 pattern of p (see the module docstring).
-    """
+def _chunk_outcomes(rng, cfg: MixtureConfig, size: int, bound: np.ndarray, orders: list):
+    """Sample one chunk, sort it once in place and yield (lam, khat, v) for
+    each order: every replicate's SUD rank and false rejections.  nulls[k]
+    counts the nulls among the k smallest p-values; each table is freed once
+    it has been read."""
     p, null_mask = sample_families(rng, cfg, size)
     key = p.view(np.int64)
     del p
@@ -79,36 +85,65 @@ def _chunk_tables(rng, cfg: MixtureConfig, size: int, t_arr: np.ndarray):
     key |= null_mask
     del null_mask
     key.sort(axis=1)
-    flags = np.bitwise_and(key, 1, out=np.empty(key.shape, dtype=np.int8))
-    key >>= 1
-    below = key.view(np.float64) <= t_arr[None, :]
+    flags, cleared = _rank_major(key, bound)
     del key
-    nulls = np.zeros((size, cfg.m + 1), dtype=np.int32)
-    np.cumsum(flags, axis=1, dtype=np.int32, out=nulls[:, 1:])
-    return _khat_table(below), nulls
+    nulls = np.zeros((cfg.m + 1, size), dtype=np.int32)
+    for k in range(cfg.m):
+        np.add(nulls[k], flags[k], out=nulls[k + 1])
+    del flags
+    khat = _khat_rows(cleared, orders)
+    del cleared
+    cols = np.arange(size)
+    for lam in orders:
+        yield lam, khat[lam], nulls.ravel().take(khat[lam] * np.intp(size) + cols)
 
 
-def _khat_table(below: np.ndarray) -> np.ndarray:
-    """khat[lam - 1] holds every replicate's SUD rank for the order lam,
-    from the clearance matrix below[:, k] = (p_(k+1) <= t_{k+1}).
+def _rank_major(key: np.ndarray, bound: np.ndarray):
+    """The null flags and the clearance matrix of the sorted keys, one row
+    per rank, transposed a block of replicates at a time.
+
+    A key is the p-value's bit pattern shifted left over its null flag, so
+    p <= t exactly when key <= bound = (bits of t) << 1 | 1.
+    """
+    size, m = key.shape
+    flags = np.empty((m, size), dtype=np.int8)
+    cleared = np.empty((m, size), dtype=bool)
+    step = max(1, BLOCK // m)
+    for start in range(0, size, step):
+        rows = key[start : start + step]
+        flags[:, start : start + step] = np.bitwise_and(rows, 1, out=np.empty(rows.shape, np.int8)).T
+        cleared[:, start : start + step] = (rows <= bound).T
+    return flags, cleared
+
+
+def _khat_rows(cleared: np.ndarray, orders: list) -> dict:
+    """The SUD rank khat[lam] of every replicate for each order lam in
+    orders, from the rank-major clearance matrix cleared[k] = (p_(k+1) <=
+    t_(k+1)).
 
     If rank lam clears, the rule steps up through the streak of cleared
-    ranks from lam and stops before the first rank that does not clear;
-    otherwise it steps down to the largest cleared rank below lam (0 if
-    none).  Both scans run over contiguous rows of the transposed matrix.
+    ranks from lam; otherwise it steps down to the largest cleared rank
+    below lam (0 if none).  A backward scan, stopping at min(orders), gives
+    the end of the streak from lam (0 where rank lam does not clear), a
+    forward scan, stopping at max(orders), the largest cleared rank below
+    lam, and khat[lam] is the larger of the two.
     """
-    cleared = np.ascontiguousarray(below.T)
-    blocked = ~cleared
     m, size = cleared.shape
-    khat = np.empty((m, size), dtype=np.int32)
+    clear = cleared.view(np.int8)
+    khat = {lam: np.empty(size, dtype=np.int32) for lam in orders}
     edge = np.full(size, m, dtype=np.int32)
-    for k in range(m - 1, -1, -1):  # edge: ranks k+1..edge all clear
-        np.copyto(edge, k, where=blocked[k])
-        khat[k] = edge
+    for k in range(m - 1, min(orders) - 2, -1):  # edge: ranks k+2..edge all clear
+        np.multiply(edge, clear[k], out=edge)
+        if k + 1 in khat:
+            np.copyto(khat[k + 1], edge)
+        np.maximum(edge, k, out=edge)
     edge[:] = 0
-    for k in range(m):  # edge: the largest cleared rank <= k+1
-        np.copyto(edge, k + 1, where=cleared[k])
-        np.copyto(khat[k], edge, where=blocked[k])
+    rank = np.empty(size, dtype=np.int32)
+    for k in range(max(orders)):  # edge: the largest cleared rank <= k
+        if k + 1 in khat:
+            np.maximum(khat[k + 1], edge, out=khat[k + 1])
+        np.multiply(clear[k], np.int32(k + 1), out=rank)
+        np.maximum(edge, rank, out=edge)
     return khat
 
 
@@ -127,12 +162,9 @@ def _orders(lambdas, m: int, n: int) -> list:
 def _outcomes(t: ThresholdCollection, orders: list, cfg: MixtureConfig, n: int, seed: int):
     """Yield (lam, khat, v) per chunk and order: the rejections and false
     rejections of every replicate, v gathered from the null counts."""
-    t_arr = t.as_array()
+    bound = (t.as_array().view(np.int64) << 1) | 1  # the shift drops the sign bit of a -0.0
     for index, size in _iter_chunks(n):
-        khat, nulls = _chunk_tables(_chunk_rng(seed, index), cfg, size, t_arr)
-        starts = np.arange(size) * nulls.shape[1]  # row starts in nulls.ravel()
-        for lam in orders:
-            yield lam, khat[lam - 1], nulls.ravel().take(starts + khat[lam - 1])
+        yield from _chunk_outcomes(_chunk_rng(seed, index), cfg, size, bound, orders)
 
 
 def _iter_chunks(n: int):

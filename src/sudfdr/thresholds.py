@@ -124,12 +124,12 @@ def check_curve(rho, grid: int = DEFAULT_GRID, tol: float = MONOTONE_TOL):
     """
     u = np.linspace(0.0, 1.0, grid)
     v = np.asarray([float(rho(x)) for x in u])
-    if np.any(v < -tol) or np.any(v > 1.0 + tol):
+    if not np.all((v >= -tol) & (v <= 1.0 + tol)):  # NaN fails too
         return False, "values leave [0,1]"
-    if np.any(np.diff(v) < -tol):
+    if not np.all(np.diff(v) >= -tol):
         return False, "rho is not nondecreasing"
     ratio = v[1:] / u[1:]
-    if np.any(np.diff(ratio) < -tol):
+    if not np.all(np.diff(ratio) >= -tol):
         return False, "rho(u)/u is not nondecreasing"
     return True, ""
 
@@ -145,15 +145,16 @@ class ThresholdCollection:
     m: int = field(init=False)
 
     def __post_init__(self):
-        t = tuple(float(x) for x in self.t)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "m", len(t))
+        arr = np.asarray(self.t, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"thresholds must be a flat sequence, got shape {arr.shape}")
+        object.__setattr__(self, "t", tuple(arr.tolist()))
+        object.__setattr__(self, "m", len(arr))
         if self.m < 2:
             raise ValueError(f"need m >= 2 thresholds, got {self.m}")
-        arr = np.asarray(t)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
             raise ValueError("thresholds must lie in [0,1]")
-        if np.any(np.diff(arr) < 0.0):
+        if not np.all(np.diff(arr) >= 0.0):
             raise ValueError("thresholds must be nondecreasing")
 
     def __getitem__(self, k: int) -> float:
@@ -178,7 +179,7 @@ def from_rho(rho: CriticalValueFunction, m: int) -> ThresholdCollection:
     """Build the threshold collection t_k = rho(k/m), k = 1..m."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    return ThresholdCollection(tuple(float(rho(k / m)) for k in range(1, m + 1)))
+    return ThresholdCollection(rho(np.arange(1, m + 1) / m))
 
 
 def validate(t, tol: float = MONOTONE_TOL) -> ValidationReport:

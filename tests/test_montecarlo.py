@@ -1,8 +1,10 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sudfdr.exact import fdr_sud, joint_pmf, step_at_one_closed_forms
 from sudfdr.models import (
@@ -14,8 +16,10 @@ from sudfdr.models import (
     sample_families,
 )
 from sudfdr.montecarlo import (
+    CHUNK,
     McEstimate,
     _chunk_rng,
+    _khat_rows,
     _outcomes,
     cross_validate,
     simulate_fdp_hist,
@@ -200,6 +204,19 @@ def test_gather_matches_per_order_compare(t, F, model):
     assert seen == set(orders)
 
 
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_signed_zero_thresholds_clear_only_zero_p_values(model):
+    # -0.0 passes the [0, 1] check; it must clear exactly the p-values 0.0
+    t = ThresholdCollection((-0.0, -0.0, 0.1, 0.1, 0.3, 0.3, 0.5, 0.5, 0.8, 1.0))
+    cfg = _fm(DiracZeroCdf()) if model == "FM" else MixtureConfig(model="RM", m=10, pi0=0.6, F=DiracZeroCdf())
+    size, seed = 300, 17
+    p, null_mask = sample_families(_chunk_rng(seed, 0), cfg, size)
+    for lam, khat, v in _outcomes(t, [1, 2, 5, 10], cfg, size, seed):
+        ref_khat, ref_v = _reference_outcomes(p, null_mask, t, lam)
+        np.testing.assert_array_equal(khat, ref_khat)
+        np.testing.assert_array_equal(v, ref_v)
+
+
 def test_outputs_equal_recorded_values():
     # recorded with the per-order compare, before V became a gather
     sweep = simulate_fdr_sweep(T10, [3, 10], _GAUSS_FM, 70_000, seed=11)[3]
@@ -227,6 +244,37 @@ def test_outputs_equal_recorded_values():
     ]
 
 
+def test_m100_outputs_equal_recorded_values():
+    # recorded before the reduce became rank-major; n crosses CHUNK
+    m, n = 100, 70_000
+    t = from_rho(LinearCurve(0.5), m)
+    fm = MixtureConfig(model="FM", m=m, m0=70, F=GaussianLocationCdf(1.0))
+    sweep = simulate_fdr_sweep(t, [1, 50, 100], fm, n, seed=21)
+    assert {lam: (e.mean, e.std_error) for lam, e in sweep.items()} == {
+        1: (0.2721784023264192, 0.0007600298614218118),
+        50: (0.3499814547766781, 0.000568678782555837),
+        100: (0.34999291959853734, 0.0005687281756064372),
+    }
+    rm = MixtureConfig(model="RM", m=m, pi0=0.7, F=GaussianLocationCdf(1.0))
+    counts = simulate_joint_counts(t, 50, rm, n, seed=22)
+    assert hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest() == (
+        "781a65c41fa3650eb0c34a7a3eb51db342c510f0c628aa10ed7fecdbe0af45f6"
+    )
+    k = np.arange(m + 1)
+    assert counts[:3, :3].tolist() == [[1625, 0, 0], [917, 181, 0], [740, 388, 45]]
+    assert int((counts * k[:, None] * k[None, :]).sum()) == 13804018
+    hist = simulate_fdp_hist(t, 30, fm, n, bins=5, seed=23)
+    assert (hist.mean, hist.std_error) == (0.3474579746452243, 0.0005695242568514628)
+    assert hist.per_bin == (
+        (0.14008571428571429, 0.0013118237410935942),
+        (0.4354857142857143, 0.0018740251063220485),
+        (0.4052, 0.0018555436631117808),
+        (0.016685714285714286, 0.00048413842802726517),
+        (0.00035714285714285714, 7.14158151874788e-05),
+        (0.0021857142857142856, 0.00017651130837005114),
+    )
+
+
 def test_sweep_peak_memory_is_bounded():
     # in units of one float64 chunk: 1.56 with the packed sort, 3.64 with an
     # argsort in its place and 3.43 with the former per-order compare
@@ -240,3 +288,70 @@ def test_sweep_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * n * m * 8
+
+
+@st.composite
+def _clearance_patterns(draw):
+    """A rank-major clearance matrix with all-clear and none-clear replicates,
+    and a subset of the orders."""
+    m = draw(st.integers(min_value=2, max_value=30))
+    size = draw(st.integers(min_value=0, max_value=20))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=size, max_size=size))
+    cleared = np.array([[True] * m, [False] * m] + rows).T.copy()
+    orders = draw(st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True))
+    return cleared, orders
+
+
+@given(_clearance_patterns())
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_khat_rows_for_a_subset_of_orders_match_every_order_and_sud_khat(case):
+    cleared, orders = case
+    m, size = cleared.shape
+    every = _khat_rows(cleared, list(range(1, m + 1)))
+    subset = _khat_rows(cleared, orders)
+    assert list(subset) == orders
+    # p_(k) sits just below t_k where rank k clears and just above it otherwise
+    t = ThresholdCollection(tuple(np.arange(1, m + 1) / (m + 1)))
+    p = t.as_array()[:, None] + np.where(cleared, -0.25, 0.25) / (m + 1)
+    for lam in orders:
+        np.testing.assert_array_equal(subset[lam], every[lam])
+        assert subset[lam].tolist() == [sud_khat(p[:, i], t, lam).k_hat for i in range(size)]
+
+
+def test_khat_rows_keep_only_the_requested_orders():
+    m, size = 100, 1 << 12
+    cleared = np.random.default_rng(0).random((m, size)) < 0.5
+    peaks = {}
+    for name, orders in (("one", [m // 2]), ("every", list(range(1, m + 1)))):
+        tracemalloc.start()
+        try:
+            _khat_rows(cleared, orders)
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    row = size * 4  # one int32 rank per replicate
+    assert peaks["one"] <= 5 * row  # its k-hat row, the two scan rows and small objects
+    assert peaks["every"] >= m * row
+
+
+@pytest.mark.parametrize("n", [1 << 14, CHUNK + (1 << 12)], ids=["one-chunk", "two-chunks"])
+def test_single_order_peak_memory_is_at_most_the_sweep(n):
+    # in units of one float64 chunk: the sorted keys (1), the null flags and
+    # the clearance matrix (1/8 each) set the peak; a chunk's tables are gone
+    # before the next chunk is sampled
+    m = 100
+    t = from_rho(LinearCurve(0.5), m)
+    cfg = MixtureConfig(model="FM", m=m, m0=70, F=GaussianLocationCdf(1.0))
+    peaks = {}
+    for name, call in (
+        ("single", lambda: simulate_fdr(t, m // 2, cfg, n, seed=1)),
+        ("sweep", lambda: simulate_fdr_sweep(t, range(1, m + 1), cfg, n, seed=1)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    unit = min(n, CHUNK) * m * 8
+    assert peaks["single"] <= peaks["sweep"] <= 1.3 * unit

@@ -160,3 +160,38 @@ def test_alpha_validation():
             LinearCurve(bad)
         with pytest.raises(ValueError):
             AorcCurve(bad)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [(0.1, math.nan, 0.5), (math.nan, 0.2), (0.1, 0.2, math.nan), (0.1, math.inf)],
+    ids=["nan-middle", "nan-first", "nan-last", "inf"],
+)
+def test_non_finite_thresholds_are_rejected(t):
+    with pytest.raises(ValueError, match="thresholds must"):
+        ThresholdCollection(t)
+
+
+def test_nested_thresholds_are_rejected():
+    with pytest.raises(ValueError, match="flat sequence"):
+        ThresholdCollection(((0.1, 0.2), (0.3, 0.4)))
+
+
+@pytest.mark.parametrize(
+    "func",
+    [lambda u: math.nan, lambda u: math.nan if u > 0.5 else 0.5 * u, lambda u: 0.5 * u if u < 0.9 else math.nan],
+    ids=["nan-everywhere", "nan-upper-half", "nan-at-the-end"],
+)
+def test_nan_valued_curves_are_rejected(func):
+    ok, reason = check_curve(func)
+    assert not ok and reason
+    with pytest.raises(ValueError, match="invalid critical value function"):
+        CustomCurve(func)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 10, 30, 100, 1000, 10007])
+def test_from_rho_equals_the_scalar_construction(m):
+    curves = [LinearCurve(0.05), LinearCurve(0.5), AorcCurve(0.2), CustomCurve(lambda u: 0.5 * math.pow(u, 2))]
+    for rho in curves:
+        scalar = tuple(float(rho(k / m)) for k in range(1, m + 1))
+        assert from_rho(rho, m).t == scalar
