@@ -514,18 +514,29 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     return JointPmf(masses, cfg.model, "SUD")
 
 
-def _fdp_values(m: int) -> np.ndarray:
-    """FDP j/k of every cell (k, j), 0 where k = 0 or j > k."""
-    k = np.arange(m + 1)
-    return np.where(k <= k[:, None], k / np.maximum(k[:, None], 1), 0.0)
+def _nonzero_cells(masses: np.ndarray):
+    """Rank k, false rejections j and mass of every nonzero cell of a joint
+    law, in row-major order.
+
+    Every functional fsums over these cells only: fsum is correctly
+    rounded, so neither the zero cells nor the order changes a sum.
+    """
+    cells = np.flatnonzero(masses)
+    k, j = np.divmod(cells, masses.shape[0])
+    return k, j, masses.ravel()[cells]
+
+
+def _fdp(k: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """FDP j/k of the cells (k, j), 0 where k = 0 or j > k."""
+    return np.where(j <= k, j / np.maximum(k, 1), 0.0)
 
 
 def fdr_sud(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> FdrResult:
     """Exact FDR of the order-lambda SUD procedure in the model cfg."""
-    terms = _fdp_values(t.m) * sud_joint_masses(t, lam, cfg).masses
-    su_sum = math.fsum(terms[1:lam].ravel().tolist())
-    sd_sum = math.fsum(terms[lam:].ravel().tolist())
-    return FdrResult(su_sum, sd_sum, cfg, lam)
+    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
+    terms = (_fdp(k, j) * masses).tolist()
+    cut = int(np.searchsorted(k, lam))  # the first cell of rank lam
+    return FdrResult(math.fsum(terms[:cut]), math.fsum(terms[cut:]), cfg, lam)
 
 
 def fdr_sud_fm(t: ThresholdCollection, lam: int, m0: int, F: AlternativeCdf) -> FdrResult:
@@ -550,11 +561,9 @@ def fdp_cdf(t: ThresholdCollection, lam: int, cfg: MixtureConfig, x: float) -> f
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must be in (0,1), got {x}")
-    pmf = sud_joint_masses(t, lam, cfg)
-    k = np.arange(pmf.m + 1)
-    below = k <= np.floor(x * k[:, None] + 1e-12)
-    below[0] = True
-    return min(math.fsum(pmf.masses[below].tolist()), 1.0)
+    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
+    below = (j <= np.floor(x * k + 1e-12)) | (k == 0)
+    return min(math.fsum(masses[below].tolist()), 1.0)
 
 
 def _fdp_bin(fdp: np.ndarray, bins: int) -> np.ndarray:
@@ -570,9 +579,12 @@ def fdp_pmf_histogram(t: ThresholdCollection, lam: int, cfg: MixtureConfig, bins
     """
     if bins < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
-    pmf = sud_joint_masses(t, lam, cfg)
-    idx = _fdp_bin(_fdp_values(pmf.m), bins)
-    return np.asarray([math.fsum(pmf.masses[idx == b].tolist()) for b in range(bins + 1)])
+    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
+    idx = _fdp_bin(_fdp(k, j), bins)
+    order = np.argsort(idx, kind="stable")
+    values = masses[order].tolist()
+    cuts = np.searchsorted(idx[order], np.arange(bins + 2)).tolist()
+    return np.asarray([math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def fdp_mean(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> float:

@@ -6,10 +6,14 @@ the random mixture model RM(m, pi0, F) the number of true nulls is first drawn
 as Binomial(m, pi0); unconditionally the p-values are i.i.d. with c.d.f.
 G(t) = pi0*t + (1 - pi0)*F(t).
 
-There is one sampling path, `sample_families`: every p-value starts as a
-uniform draw, and the alternatives' uniforms are mapped in place through
-the generalized inverse `F.quantile`.  The Monte-Carlo oracle and `sample`
-both draw through it.
+There is one sampling path, the block generator `sample_blocks`: every
+p-value starts as a uniform draw, and the alternatives' uniforms are mapped
+in place through the generalized inverse `F.quantile`.  It draws RM's null
+counts for every family first and then the uniforms one block of families
+at a time, so the stream, and every p-value, is the same for any block
+size.  The Monte-Carlo oracle streams its chunks through it a cache-sized
+block at a time; `sample_families` is its one-block case, through which
+`sample` draws.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "MixtureConfig",
     "PValueSample",
     "eval_G",
+    "sample_blocks",
     "sample_families",
     "sample",
     "cdf_from_config",
@@ -191,27 +196,40 @@ def eval_G(cfg: MixtureConfig, t):
     return out if out.ndim else float(out)
 
 
-def sample_families(rng: np.random.Generator, cfg: MixtureConfig, size: int):
-    """Draw `size` p-value families as rows; returns (p, null_mask).
+def sample_blocks(rng: np.random.Generator, cfg: MixtureConfig, size: int, rows: int):
+    """Draw `size` p-value families as rows and yield them `rows` at a time
+    as (p, null_mask) blocks; a `size` of 0 yields one empty block.
 
     Each row holds its nulls first, m0 of them in FM and Binomial(m, pi0) in
     RM.  Nulls keep their uniforms; the alternatives' uniforms go through
     F.quantile in place, so only they pay for the inverse c.d.f.  In FM they
-    are the trailing columns, which quantile transforms as one view.
+    are the trailing columns, which quantile transforms as one view.  RM's
+    null counts are drawn for all `size` rows before the first uniform, and
+    each block's uniforms continue the stream where the previous block's
+    ended, so the blocks join into the single block of rows = size bit for
+    bit.
     """
     m = cfg.m
     if cfg.model == "FM":
         m0 = np.full(size, cfg.m0)
     else:
         m0 = rng.binomial(m, cfg.pi0, size)
-    p = rng.random((size, m))
-    null_mask = np.arange(m)[None, :] < m0[:, None]
-    if cfg.model == "FM":
-        cfg.F.quantile(p[:, cfg.m0:])
-    else:
-        alt = ~null_mask
-        p[alt] = cfg.F.quantile(p[alt])
-    return p, null_mask
+    ranks = np.arange(m)
+    for start in range(0, max(size, 1), rows):
+        block = m0[start : start + rows]
+        p = rng.random((len(block), m))
+        null_mask = ranks < block[:, None]
+        if cfg.model == "FM":
+            cfg.F.quantile(p[:, cfg.m0:])
+        else:
+            alt = ~null_mask
+            p[alt] = cfg.F.quantile(p[alt])
+        yield p, null_mask
+
+
+def sample_families(rng: np.random.Generator, cfg: MixtureConfig, size: int):
+    """Draw `size` p-value families as rows in one block; returns (p, null_mask)."""
+    return next(sample_blocks(rng, cfg, size, max(size, 1)))
 
 
 def sample(cfg: MixtureConfig, seed: int) -> PValueSample:

@@ -6,23 +6,28 @@ chunk drawing from its own RNG stream derived from (seed, chunk index), so a
 run is bit-reproducible given (seed, n, config) no matter how the chunks are
 scheduled.  Chunk aggregates are combined with exact (fsum) accumulation.
 
-Each chunk is sorted once.  The SUD rule rejects exactly the k_hat smallest
-p-values: p_(k_hat) <= t_k_hat < p_(k_hat+1) in both of its branches, so no
-tie straddles the cut, and the false rejections V are the nulls among the
-k_hat smallest.  The sort therefore carries each p-value's null flag: every
-p lies in [+0.0, 1], so the int64 bit pattern of p orders like p and its top
-two bits are clear, and after a left shift the flag rides in its low bit
-through one in-place integer sort.  The sort consumes the sampled p-values.
+A chunk streams through cache-sized blocks of rows (BLOCK keys each):
+every block is sampled, transformed, keyed, sorted and transposed before
+the next is drawn, so the chunk's float64 sample and int64 keys never
+exist whole.  The SUD rule rejects exactly the k_hat smallest p-values:
+p_(k_hat) <= t_k_hat < p_(k_hat+1) in both of its branches, so no tie
+straddles the cut, and the false rejections V are the nulls among the
+k_hat smallest.  The sort therefore carries each p-value's null flag:
+every p lies in [+0.0, 1], so the int64 bit pattern of p orders like p
+and its top two bits are clear, and after a left shift the flag rides in
+its low bit through one in-place integer sort of the block's rows.
 
-The reduce is rank-major.  The null flags and the clearance matrix
-cleared[k] = (p_(k+1) <= t_(k+1)) of the sorted chunk are transposed once
-each into one row per rank, so every later step is whole-row arithmetic:
-the running null count is m row adds, and the SUD ranks come from two
-branch-free scans over the clearance rows that keep a row only for each
-requested order (the backward scan stops at the smallest of them and the
-forward scan at the largest).  V for an order lambda is then one O(n)
-gather from the null count.  A chunk's tables are freed before the next
-chunk is sampled.
+The reduce is rank-major.  Each sorted block is written, transposed, into
+two chunk tables with one column per replicate: the clearance matrix
+cleared[k] = (p_(k+1) <= t_(k+1)) and the null flags, which m row adds
+turn into the running null count in place.  The null counts are held at
+the smallest unsigned type that holds m; below m = 256 that is uint8, and
+the two tables together are a quarter of the chunk's float64 sample.
+The SUD ranks come from two branch-free scans over the clearance rows
+that keep a row only for each requested order (the backward scan stops at
+the smallest of them and the forward scan at the largest).  V for an
+order lambda is then one O(n) gather from the null count.  A chunk's
+tables are freed before the next chunk is sampled.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sudfdr.exact import _fdp_bin
-from sudfdr.models import MixtureConfig, sample_families
+from sudfdr.models import MixtureConfig, sample_blocks
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -48,7 +53,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-BLOCK = 1 << 15  # keys per block of the rank-major transpose
+BLOCK = 1 << 15  # keys per block of a chunk's sample, sort and transpose
 
 
 @dataclass(frozen=True)
@@ -74,46 +79,37 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _chunk_outcomes(rng, cfg: MixtureConfig, size: int, bound: np.ndarray, orders: list):
-    """Sample one chunk, sort it once in place and yield (lam, khat, v) for
-    each order: every replicate's SUD rank and false rejections.  nulls[k]
-    counts the nulls among the k smallest p-values; each table is freed once
-    it has been read."""
-    p, null_mask = sample_families(rng, cfg, size)
-    key = p.view(np.int64)
-    del p
-    key <<= 1
-    key |= null_mask
-    del null_mask
-    key.sort(axis=1)
-    flags, cleared = _rank_major(key, bound)
-    del key
-    nulls = np.zeros((cfg.m + 1, size), dtype=np.int32)
-    for k in range(cfg.m):
-        np.add(nulls[k], flags[k], out=nulls[k + 1])
-    del flags
+    """Sample one chunk a block of rows at a time and yield (lam, khat, v)
+    for each order: every replicate's SUD rank and false rejections.
+
+    Each block's keys are sorted in place and written, transposed, into the
+    chunk's rank-major tables: the clearance matrix, and in rows 1..m of
+    nulls the null flags of ranks 1..m, which m row adds turn into nulls[k]
+    = the nulls among the k smallest p-values.  A key is the p-value's bit
+    pattern shifted left over its null flag, so p <= t exactly when key <=
+    bound = (bits of t) << 1 | 1.
+    """
+    m = cfg.m
+    cleared = np.empty((m, size), dtype=bool)
+    nulls = np.empty((m + 1, size), dtype=np.min_scalar_type(m))
+    nulls[0] = 0
+    start = 0
+    for p, null_mask in sample_blocks(rng, cfg, size, max(1, BLOCK // m)):
+        key = p.view(np.int64)
+        key <<= 1
+        key |= null_mask
+        key.sort(axis=1)
+        stop = start + len(key)
+        cleared[:, start:stop] = (key <= bound).T
+        nulls[1:, start:stop] = (key & 1).T
+        start = stop
+    for k in range(m):
+        nulls[k + 1] += nulls[k]
     khat = _khat_rows(cleared, orders)
     del cleared
     cols = np.arange(size)
     for lam in orders:
         yield lam, khat[lam], nulls.ravel().take(khat[lam] * np.intp(size) + cols)
-
-
-def _rank_major(key: np.ndarray, bound: np.ndarray):
-    """The null flags and the clearance matrix of the sorted keys, one row
-    per rank, transposed a block of replicates at a time.
-
-    A key is the p-value's bit pattern shifted left over its null flag, so
-    p <= t exactly when key <= bound = (bits of t) << 1 | 1.
-    """
-    size, m = key.shape
-    flags = np.empty((m, size), dtype=np.int8)
-    cleared = np.empty((m, size), dtype=bool)
-    step = max(1, BLOCK // m)
-    for start in range(0, size, step):
-        rows = key[start : start + step]
-        flags[:, start : start + step] = np.bitwise_and(rows, 1, out=np.empty(rows.shape, np.int8)).T
-        cleared[:, start : start + step] = (rows <= bound).T
-    return flags, cleared
 
 
 def _khat_rows(cleared: np.ndarray, orders: list) -> dict:

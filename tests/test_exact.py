@@ -243,3 +243,31 @@ def test_closed_forms():
 def test_mismatched_m_rejected():
     with pytest.raises(ValueError):
         fdr_sud(T10, 5, _fm(IdentityCdf(), m=8, m0=4))
+
+
+def _masked_fsum_reference(masses: np.ndarray, lam: int, bins: int, x: float):
+    """FDR components, FDP histogram and FDP c.d.f. at x, each an fsum over
+    every cell of a mask."""
+    k = np.arange(masses.shape[0])
+    fdp = np.where(k <= k[:, None], k / np.maximum(k[:, None], 1), 0.0)
+    terms = fdp * masses
+    fdr = (math.fsum(terms[1:lam].ravel().tolist()), math.fsum(terms[lam:].ravel().tolist()))
+    idx = np.minimum(np.floor(fdp * bins + 1e-9).astype(np.int64), bins)
+    hist = [math.fsum(masses[idx == b].tolist()) for b in range(bins + 1)]
+    below = k <= np.floor(x * k[:, None] + 1e-12)
+    below[0] = True
+    return fdr, hist, min(math.fsum(masses[below].tolist()), 1.0)
+
+
+@pytest.mark.parametrize("m", [10, 30, 100])
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_functionals_equal_a_masked_fsum(m, model):
+    t = from_rho(LinearCurve(0.5), m)
+    gauss = GaussianLocationCdf(1.0)
+    cfg = _fm(gauss, m=m, m0=int(0.7 * m)) if model == "FM" else _rm(gauss, m=m)
+    for lam in (1, m // 2, m):
+        fdr, hist, cdf = _masked_fsum_reference(sud_joint_masses(t, lam, cfg).masses, lam, bins=20, x=0.3)
+        res = fdr_sud(t, lam, cfg)
+        assert (res.su_component, res.sd_component) == fdr
+        assert fdp_pmf_histogram(t, lam, cfg, bins=20).tolist() == hist
+        assert fdp_cdf(t, lam, cfg, 0.3) == cdf

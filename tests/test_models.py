@@ -13,6 +13,8 @@ from sudfdr.models import (
     eval_G,
     mixture_from_config,
     sample,
+    sample_blocks,
+    sample_families,
 )
 
 # Phi(0.5) from a published high-precision normal table
@@ -175,3 +177,31 @@ def test_config_roundtrips():
         cdf_from_config({"kind": "cauchy"})
     with pytest.raises(ValueError):
         mixture_from_config({"model": "ZZ", "m": 10, "F": {"kind": "identity"}})
+
+
+@pytest.mark.parametrize(
+    "F",
+    [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf(), StepAtOneCdf()],
+    ids=lambda F: F.kind,
+)
+@pytest.mark.parametrize("model", ["FM", "RM"])
+@pytest.mark.parametrize("rows", [1, 7, 64, 300])
+def test_blocked_sampling_equals_one_draw(F, model, rows):
+    # 300 is not a multiple of 7 or 64, and rows = 1 is the one-row block
+    cfg = (
+        MixtureConfig(model="FM", m=10, m0=6, F=F)
+        if model == "FM"
+        else MixtureConfig(model="RM", m=10, pi0=0.6, F=F)
+    )
+    size = 300
+    p, null_mask = sample_families(np.random.default_rng(5), cfg, size)
+    blocks = list(sample_blocks(np.random.default_rng(5), cfg, size, rows))
+    assert [len(b) for b, _ in blocks] == [min(rows, size - s) for s in range(0, size, rows)]
+    assert np.concatenate([b for b, _ in blocks]).tobytes() == p.tobytes()
+    np.testing.assert_array_equal(np.concatenate([mask for _, mask in blocks]), null_mask)
+
+
+def test_sampling_zero_families_yields_one_empty_block():
+    cfg = MixtureConfig(model="RM", m=10, pi0=0.6, F=IdentityCdf())
+    p, null_mask = sample_families(np.random.default_rng(0), cfg, 0)
+    assert p.shape == null_mask.shape == (0, 10)

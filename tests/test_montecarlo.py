@@ -355,3 +355,34 @@ def test_single_order_peak_memory_is_at_most_the_sweep(n):
             tracemalloc.stop()
     unit = min(n, CHUNK) * m * 8
     assert peaks["single"] <= peaks["sweep"] <= 1.3 * unit
+
+
+@pytest.mark.parametrize("n", [1 << 14, CHUNK + (1 << 12)], ids=["one-chunk", "two-chunks"])
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_streamed_chunk_peak_memory(model, n):
+    # in units of one float64 chunk: a chunk is sampled, sorted and
+    # transposed a block of rows at a time, so only its clearance matrix and
+    # null counts (1/8 each at m = 100) are whole; every order adds its
+    # int32 k-hat row (1/2 for all m orders)
+    m = 100
+    t = from_rho(LinearCurve(0.5), m)
+    gauss = GaussianLocationCdf(1.0)
+    cfg = (
+        MixtureConfig(model="FM", m=m, m0=70, F=gauss)
+        if model == "FM"
+        else MixtureConfig(model="RM", m=m, pi0=0.7, F=gauss)
+    )
+    peaks = {}
+    for name, call in (
+        ("single", lambda: simulate_fdr(t, m // 2, cfg, n, seed=1)),
+        ("sweep", lambda: simulate_fdr_sweep(t, range(1, m + 1), cfg, n, seed=1)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    unit = min(n, CHUNK) * m * 8
+    assert peaks["single"] <= 0.5 * unit
+    assert peaks["sweep"] <= 0.9 * unit
