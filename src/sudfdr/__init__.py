@@ -4,7 +4,8 @@ The library computes, for two-group mixture models of independent p-values:
 
 - exact joint distributions of (number of rejections, number of false
   rejections) for step-up and step-down procedures,
-- exact FDR and the full FDP distribution of any step-up-down procedure,
+- exact FDR, k-FWER and the full FDP distribution of any step-up-down
+  procedure,
 - a nonasymptotic upper bound on how much any alternative distribution can
   exceed the Dirac-uniform FDR,
 - seeded Monte-Carlo estimates serving as an independent cross-check.
@@ -17,8 +18,6 @@ from sudfdr.thresholds import (
     CustomCurve,
     ThresholdCollection,
     from_rho,
-    su_part,
-    sd_part,
     validate,
     curve_from_config,
 )
@@ -39,7 +38,6 @@ from sudfdr.procedures import (
     SudOutcome,
     EmpiricalCdf,
     sud_khat,
-    fdp,
     u_operator,
     check_sandwich,
 )
@@ -55,6 +53,7 @@ from sudfdr.exact import (
     fdp_cdf,
     fdp_pmf_histogram,
     fdp_mean,
+    kfwer,
     sud_joint_masses,
     step_at_one_closed_forms,
 )

@@ -44,6 +44,16 @@ made C-contiguous for the strided slice that reads and clears each exit
 anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
 of the (n0, r) state that indexes it by (n1, r).
 
+Every exact number is one call of one functional, _expect, on the law of
+one order: a payoff(k, j), evaluated on the index arrays of the law's
+nonzero cells, gives each cell a value and a group, and the result is one
+math.fsum of value times mass per group (one stable argsort gathers the
+groups).  FDR is the FDP payoff j/k in two groups, its step-up (k <
+lambda) and step-down parts; the FDP c.d.f. at x is the indicator of j <=
+floor(x k + 1e-12) or k = 0; the histogram puts mass 1 in the bin of the
+FDP, one group per bin; the k-FWER is the indicator of j >= k.  fsum is
+correctly rounded, so no value depends on the order of the cells.
+
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
 """
@@ -73,6 +83,7 @@ __all__ = [
     "fdp_cdf",
     "fdp_pmf_histogram",
     "fdp_mean",
+    "kfwer",
     "step_at_one_closed_forms",
     "PrecisionError",
 ]
@@ -113,8 +124,6 @@ class JointPmf:
     """
 
     masses: np.ndarray
-    model_tag: str  # "FM" or "RM"
-    procedure_tag: str  # "SU", "SD" or "SUD"
 
     def __post_init__(self):
         _check_masses(self.masses)
@@ -481,7 +490,7 @@ def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> Joi
     if procedure not in ("SU", "SD"):
         raise ValueError(f"procedure must be 'SU' or 'SD', got {procedure!r}")
     arr = t.as_array()
-    return JointPmf(_masses(procedure, arr, cfg.F(arr), cfg), cfg.model, procedure)
+    return JointPmf(_masses(procedure, arr, cfg.F(arr), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +520,27 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     cap, Fcap = arr[lam - 1], Fv[lam - 1]
     masses = _masses("SD", np.maximum(arr, cap), np.maximum(Fv, Fcap), cfg, lam)
     masses[:lam] = _masses("SU", np.minimum(arr, cap), np.minimum(Fv, Fcap), cfg, m - lam + 1)[:lam]
-    return JointPmf(masses, cfg.model, "SUD")
+    return JointPmf(masses)
 
 
-def _nonzero_cells(masses: np.ndarray):
-    """Rank k, false rejections j and mass of every nonzero cell of a joint
-    law, in row-major order.
+def _expect(t: ThresholdCollection, lam: int, cfg: MixtureConfig, payoff, groups: int) -> list:
+    """One fsum of payoff times mass per group over the order-lambda law.
 
-    Every functional fsums over these cells only: fsum is correctly
-    rounded, so neither the zero cells nor the order changes a sum.
+    payoff(k, j) gets the rank and false-rejection arrays of the law's
+    nonzero cells, in row-major order, and returns each cell's value and
+    group in 0..groups-1 (either may be a scalar for all cells).  fsum is
+    correctly rounded, so neither the zero cells nor the order changes a sum.
     """
+    masses = sud_joint_masses(t, lam, cfg).masses
     cells = np.flatnonzero(masses)
-    k, j = np.divmod(cells, masses.shape[0])
-    return k, j, masses.ravel()[cells]
+    value, group = payoff(*np.divmod(cells, masses.shape[0]))
+    terms = value * masses.ravel()[cells]
+    del masses, cells, value  # the sort and the list below need only the terms
+    group = np.full(terms.shape, group)
+    order = np.argsort(group, kind="stable")
+    terms = terms[order].tolist()
+    cuts = np.searchsorted(group[order], np.arange(groups + 1)).tolist()
+    return [math.fsum(terms[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _fdp(k: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -533,10 +550,8 @@ def _fdp(k: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def fdr_sud(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> FdrResult:
     """Exact FDR of the order-lambda SUD procedure in the model cfg."""
-    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
-    terms = (_fdp(k, j) * masses).tolist()
-    cut = int(np.searchsorted(k, lam))  # the first cell of rank lam
-    return FdrResult(math.fsum(terms[:cut]), math.fsum(terms[cut:]), cfg, lam)
+    su, sd = _expect(t, lam, cfg, lambda k, j: (_fdp(k, j), k >= lam), 2)
+    return FdrResult(su, sd, cfg, lam)
 
 
 def fdr_sud_fm(t: ThresholdCollection, lam: int, m0: int, F: AlternativeCdf) -> FdrResult:
@@ -561,9 +576,7 @@ def fdp_cdf(t: ThresholdCollection, lam: int, cfg: MixtureConfig, x: float) -> f
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must be in (0,1), got {x}")
-    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
-    below = (j <= np.floor(x * k + 1e-12)) | (k == 0)
-    return min(math.fsum(masses[below].tolist()), 1.0)
+    return min(_expect(t, lam, cfg, lambda k, j: ((j <= np.floor(x * k + 1e-12)) | (k == 0), 0), 1)[0], 1.0)
 
 
 def _fdp_bin(fdp: np.ndarray, bins: int) -> np.ndarray:
@@ -579,17 +592,19 @@ def fdp_pmf_histogram(t: ThresholdCollection, lam: int, cfg: MixtureConfig, bins
     """
     if bins < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
-    k, j, masses = _nonzero_cells(sud_joint_masses(t, lam, cfg).masses)
-    idx = _fdp_bin(_fdp(k, j), bins)
-    order = np.argsort(idx, kind="stable")
-    values = masses[order].tolist()
-    cuts = np.searchsorted(idx[order], np.arange(bins + 2)).tolist()
-    return np.asarray([math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])])
+    return np.asarray(_expect(t, lam, cfg, lambda k, j: (1.0, _fdp_bin(_fdp(k, j), bins)), bins + 1))
 
 
 def fdp_mean(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> float:
     """Expectation of the FDP taken over the joint masses, which is the FDR."""
     return fdr_sud(t, lam, cfg).fdr
+
+
+def kfwer(t: ThresholdCollection, lam: int, cfg: MixtureConfig, k: int) -> float:
+    """Exact k-FWER of the order-lambda SUD procedure: P(at least k false rejections)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return _expect(t, lam, cfg, lambda _, j: (j >= k, 0), 1)[0]
 
 
 # ---------------------------------------------------------------------------

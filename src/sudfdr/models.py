@@ -48,7 +48,7 @@ class AlternativeCdf:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValueError("argument outside [0,1]")
         out = self._eval(t)
         return float(out) if np.ndim(out) == 0 else out

@@ -21,7 +21,6 @@ __all__ = [
     "SudOutcome",
     "EmpiricalCdf",
     "sud_khat",
-    "fdp",
     "u_operator",
     "check_sandwich",
 ]
@@ -72,6 +71,8 @@ def sud_khat(p, t: ThresholdCollection, lam: int, m0: int | None = None) -> SudO
         raise ValueError("p-values must lie in [0, 1]")
     if not 1 <= lam <= m:
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
+    if m0 is not None and not 0 <= m0 <= m:
+        raise ValueError(f"m0 must be in [0, {m}], got {m0}")
     ps = np.sort(p)
     thr = t.as_array()
     below = ps <= thr
@@ -97,13 +98,6 @@ def sud_khat(p, t: ThresholdCollection, lam: int, m0: int | None = None) -> SudO
         false_rejections=v,
         fdp=f,
     )
-
-
-def fdp(outcome: SudOutcome, m0: int) -> float:
-    """False discovery proportion, with nulls at indices 0..m0-1 and the
-    usual max(rejections, 1) denominator guard."""
-    false_rejections = sum(1 for i in outcome.rejected if i < m0)
-    return false_rejections / max(len(outcome.rejected), 1)
 
 
 def _u_grid_scan(tau: float, G, rho, m: int) -> float:

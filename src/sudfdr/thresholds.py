@@ -22,8 +22,6 @@ __all__ = [
     "ValidationReport",
     "from_rho",
     "validate",
-    "su_part",
-    "sd_part",
     "check_curve",
     "curve_from_config",
 ]
@@ -159,6 +157,8 @@ class ThresholdCollection:
 
     def __getitem__(self, k: int) -> float:
         """1-based access with t_0 = 0 and t_{m+1} = 1 conventions."""
+        if not 0 <= k <= self.m + 1:
+            raise IndexError(f"threshold index must be in [0, {self.m + 1}], got {k}")
         if k == 0:
             return 0.0
         if k == self.m + 1:
@@ -188,33 +188,15 @@ def validate(t, tol: float = MONOTONE_TOL) -> ValidationReport:
     Accepts a ThresholdCollection or a raw sequence (the latter so that
     decreasing candidate vectors can be diagnosed rather than rejected).  The
     second property is the discrete equivalent of the standard curve
-    conditions; collections failing it are still usable by the exact formulas
-    but are refused by the gap-bound module.
+    conditions.  Nothing refuses a collection failing it: the exact formulas
+    and the Monte-Carlo engine take any nondecreasing collection, and the gap
+    bound takes a curve, not a collection (CustomCurve checks the conditions).
     """
     arr = t.as_array() if isinstance(t, ThresholdCollection) else np.asarray(t, dtype=float)
     monotone = bool(np.all(np.diff(arr) >= -tol))
     ratio = arr / np.arange(1, len(arr) + 1)
     ratio_monotone = bool(np.all(np.diff(ratio) >= -tol))
     return ValidationReport(monotone=monotone, tk_over_k_monotone=ratio_monotone)
-
-
-def su_part(t: ThresholdCollection, lam: int) -> ThresholdCollection:
-    """Thresholds (t_lambda ^ t_j)_j of the step-up half of an order-lambda SUD."""
-    _check_lambda(t, lam)
-    cap = t[lam]
-    return ThresholdCollection(tuple(min(cap, x) for x in t.t))
-
-
-def sd_part(t: ThresholdCollection, lam: int) -> ThresholdCollection:
-    """Thresholds (t_lambda v t_j)_j of the step-down half of an order-lambda SUD."""
-    _check_lambda(t, lam)
-    floor = t[lam]
-    return ThresholdCollection(tuple(max(floor, x) for x in t.t))
-
-
-def _check_lambda(t: ThresholdCollection, lam: int):
-    if not 1 <= lam <= t.m:
-        raise ValueError(f"lambda must be in [1, {t.m}], got {lam}")
 
 
 def curve_from_config(cfg: dict) -> CriticalValueFunction:

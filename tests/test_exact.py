@@ -14,6 +14,7 @@ from sudfdr.exact import (
     fdr_sud_fm,
     fdr_sud_rm,
     joint_pmf,
+    kfwer,
     step_at_one_closed_forms,
     sud_joint_masses,
 )
@@ -24,7 +25,7 @@ from sudfdr.models import (
     MixtureConfig,
     StepAtOneCdf,
 )
-from sudfdr.montecarlo import cross_validate, simulate_fdr
+from sudfdr.montecarlo import cross_validate, simulate_fdr, simulate_kfwer
 from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho
 
 T10 = from_rho(LinearCurve(0.5), 10)
@@ -84,20 +85,20 @@ def test_sud_masses_are_distributions(lam):
 
 def test_mass_check_raises_precision_error():
     good = np.array([[0.5, 0.0], [0.25, 0.25]])
-    assert JointPmf(good, "FM", "SU").total() == 1.0
+    assert JointPmf(good).total() == 1.0
     short = good.copy()
     short[1, 1] -= 10 * SUM_TOL  # total misses 1 by more than SUM_TOL
     with pytest.raises(PrecisionError):
-        JointPmf(short, "FM", "SU")
+        JointPmf(short)
     negative = good.copy()
     negative[0, 0] += 0.5
     negative[1, 0] -= 0.5  # sums to 1 with one mass below -SUM_TOL
     with pytest.raises(PrecisionError):
-        JointPmf(negative, "RM", "SD")
+        JointPmf(negative)
     undefined = good.copy()
     undefined[1, 1] = np.nan
     with pytest.raises(PrecisionError):
-        JointPmf(undefined, "FM", "SUD")
+        JointPmf(undefined)
 
 
 def test_boundary_orders_match_pure_procedures():
@@ -271,3 +272,28 @@ def test_functionals_equal_a_masked_fsum(m, model):
         assert (res.su_component, res.sd_component) == fdr
         assert fdp_pmf_histogram(t, lam, cfg, bins=20).tolist() == hist
         assert fdp_cdf(t, lam, cfg, 0.3) == cdf
+
+
+@pytest.mark.parametrize("F", [DiracZeroCdf(), GaussianLocationCdf(1.0)], ids=lambda F: F.kind)
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_kfwer_matches_monte_carlo(model, F):
+    cfg = _fm(F) if model == "FM" else _rm(F)
+    seed = 7100 + 100 * (model == "RM") + 50 * (F.kind == "gaussian")
+    for lam in (1, 5, 10):
+        for k in (1, 2, 3):
+            seed += 1
+            mc = simulate_kfwer(T10, lam, cfg, k=k, n=200_000, seed=seed)
+            verdict = cross_validate(kfwer(T10, lam, cfg, k), mc, 4.0)
+            assert verdict.passed, (model, F.kind, lam, k, verdict.z_score)
+
+
+def test_kfwer_identities():
+    for cfg in (_fm(GaussianLocationCdf(1.0)), _rm(IdentityCdf()), _fm(DiracZeroCdf())):
+        for lam in (1, 4, 10):
+            none_false = math.fsum(sud_joint_masses(T10, lam, cfg).masses[:, 0].tolist())
+            assert kfwer(T10, lam, cfg, 1) == pytest.approx(1.0 - none_false, abs=1e-12)
+            if cfg.model == "FM":
+                assert kfwer(T10, lam, cfg, cfg.m0 + 1) == 0.0  # at most m0 false rejections
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            kfwer(T10, 5, _fm(IdentityCdf()), k)

@@ -27,7 +27,7 @@ from sudfdr.models import (
     IdentityCdf,
     MixtureConfig,
 )
-from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho, sd_part, su_part
+from sudfdr.thresholds import LinearCurve, ThresholdCollection, from_rho
 
 # ---------------------------------------------------------------------------
 # Steck-recursion reference assembly
@@ -135,9 +135,15 @@ def _reference_pure(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) 
     return builder(t, cfg.pi0, cfg.F)
 
 
+def _halves(t: ThresholdCollection, lam: int):
+    """The capped (t_lambda ^ t_j)_j and floored (t_lambda v t_j)_j collections of an order-lambda SUD."""
+    return ThresholdCollection(np.minimum(t.as_array(), t[lam])), ThresholdCollection(np.maximum(t.as_array(), t[lam]))
+
+
 def _reference_sud(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> dict:
-    su = _reference_pure(su_part(t, lam), cfg, "SU")
-    sd = _reference_pure(sd_part(t, lam), cfg, "SD")
+    capped, floored = _halves(t, lam)
+    su = _reference_pure(capped, cfg, "SU")
+    sd = _reference_pure(floored, cfg, "SD")
     entries = {kj: v for kj, v in su.items() if kj[0] < lam}
     entries.update({kj: v for kj, v in sd.items() if kj[0] >= lam})
     return entries
@@ -250,8 +256,9 @@ def test_jump_started_halves_match_counts_from_step_one(F, tied):
     for cfg in cfgs:
         for lam in range(1, m + 1):
             masses = sud_joint_masses(t, lam, cfg).masses
-            su = joint_pmf(su_part(t, lam), cfg, "SU").masses
-            sd = joint_pmf(sd_part(t, lam), cfg, "SD").masses
+            capped, floored = _halves(t, lam)
+            su = joint_pmf(capped, cfg, "SU").masses
+            sd = joint_pmf(floored, cfg, "SD").masses
             assert np.max(np.abs(masses[:lam] - su[:lam])) <= 1e-14, (cfg, lam)
             assert np.max(np.abs(masses[lam:] - sd[lam:])) <= 1e-14, (cfg, lam)
 

@@ -43,6 +43,14 @@ def test_eval_f_range_check():
         GaussianLocationCdf(1.0)(-0.1)
 
 
+@pytest.mark.parametrize("F", [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf(), StepAtOneCdf()], ids=lambda F: F.kind)
+def test_eval_f_rejects_nan(F):
+    with pytest.raises(ValueError):
+        F(float("nan"))
+    with pytest.raises(ValueError):
+        F(np.array([0.2, np.nan, 0.7]))
+
+
 def test_gaussian_requires_positive_mu():
     with pytest.raises(ValueError):
         GaussianLocationCdf(0.0)

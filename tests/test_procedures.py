@@ -9,7 +9,6 @@ from sudfdr.procedures import (
     EmpiricalCdf,
     _u_grid_scan,
     check_sandwich,
-    fdp,
     sud_khat,
     u_operator,
 )
@@ -18,10 +17,14 @@ from sudfdr.thresholds import (
     CriticalValueFunction,
     CustomCurve,
     LinearCurve,
+    ThresholdCollection,
     from_rho,
-    sd_part,
-    su_part,
 )
+
+
+def _halves(t, lam):
+    """The capped (t_lambda ^ t_j)_j and floored (t_lambda v t_j)_j collections of an order-lambda SUD."""
+    return ThresholdCollection(np.minimum(t.as_array(), t[lam])), ThresholdCollection(np.maximum(t.as_array(), t[lam]))
 
 
 def _reference_su(p, t):
@@ -109,8 +112,9 @@ def test_partition_into_su_and_sd_halves(p, data):
     lam = data.draw(st.integers(min_value=1, max_value=m))
     t = from_rho(LinearCurve(0.5), m)
     out = sud_khat(p, t, lam)
-    su = sud_khat(p, su_part(t, lam), m)  # pure SU on capped collection
-    sd = sud_khat(p, sd_part(t, lam), 1)  # pure SD on floored collection
+    capped, floored = _halves(t, lam)
+    su = sud_khat(p, capped, m)  # pure SU on capped collection
+    sd = sud_khat(p, floored, 1)  # pure SD on floored collection
     if su.k_hat < lam:
         assert out.k_hat == su.k_hat and out.rejected == su.rejected
         assert not sd.k_hat >= lam or sd.k_hat == out.k_hat
@@ -121,15 +125,18 @@ def test_partition_into_su_and_sd_halves(p, data):
 
 def test_fdp_values():
     t = from_rho(LinearCurve(0.5), 4)
-    empty = sud_khat([0.9] * 4, t, 1)
-    assert fdp(empty, 2) == 0.0
+    assert sud_khat([0.9] * 4, t, 1, m0=2).fdp == 0.0
     # 2 false among 5 rejections
     t5 = from_rho(LinearCurve(0.9), 5)
-    out = sud_khat([0.01, 0.02, 0.03, 0.04, 0.05], t5, 5)
+    p = [0.01, 0.02, 0.03, 0.04, 0.05]
+    out = sud_khat(p, t5, 5, m0=2)
     assert out.n_rejected == 5
-    assert fdp(out, 2) == pytest.approx(0.4)
+    assert out.fdp == pytest.approx(0.4)
     # all-null: everything rejected is false
-    assert fdp(out, 5) == 1.0
+    assert sud_khat(p, t5, 5, m0=5).fdp == 1.0
+    for m0 in (-3, 6):
+        with pytest.raises(ValueError, match="m0 must be in"):
+            sud_khat(p, t5, 5, m0=m0)
 
 
 def test_sud_khat_fills_fdp_fields():

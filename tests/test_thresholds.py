@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from sudfdr.thresholds import (
     AorcCurve,
@@ -12,8 +11,6 @@ from sudfdr.thresholds import (
     check_curve,
     curve_from_config,
     from_rho,
-    sd_part,
-    su_part,
     validate,
 )
 
@@ -45,6 +42,9 @@ def test_getitem_conventions():
     t = from_rho(LinearCurve(0.5), 4)
     assert t[0] == 0.0
     assert t[5] == 1.0  # t_{m+1}
+    for k in (-1, -4, 6, 100):
+        with pytest.raises(IndexError):
+            t[k]
 
 
 def test_validate_linear_collection():
@@ -71,40 +71,6 @@ def test_collection_rejects_decreasing():
 def test_collection_rejects_out_of_range():
     with pytest.raises(ValueError):
         ThresholdCollection((0.1, 1.2))
-
-
-def test_su_sd_parts_linear_m4():
-    t = from_rho(LinearCurve(0.5), 4)  # (0.125, 0.25, 0.375, 0.5)
-    su = su_part(t, 2)
-    sd = sd_part(t, 2)
-    assert su.t == (0.125, 0.25, 0.25, 0.25)
-    assert sd.t == (0.25, 0.25, 0.375, 0.5)
-
-
-def test_su_part_at_lambda_m_is_identity():
-    t = from_rho(AorcCurve(0.2), 6)
-    assert su_part(t, 6).t == t.t
-
-
-def test_part_lambda_out_of_range():
-    t = from_rho(LinearCurve(0.5), 4)
-    with pytest.raises(ValueError):
-        su_part(t, 0)
-    with pytest.raises(ValueError):
-        sd_part(t, 5)
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12),
-    st.data(),
-)
-def test_parts_sandwich_collection(vals, data):
-    t = ThresholdCollection(tuple(sorted(vals)))
-    lam = data.draw(st.integers(min_value=1, max_value=t.m))
-    su = su_part(t, lam)
-    sd = sd_part(t, lam)
-    for k in range(1, t.m + 1):
-        assert su[k] <= t[k] <= sd[k]
 
 
 def test_linear_tk_over_k_constant():
