@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sudfdr.models import _as_int
 from sudfdr.procedures import u_operator
 from sudfdr.thresholds import CriticalValueFunction
 
@@ -58,8 +59,10 @@ class BoundInputs:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must be in [0,1], got {self.kappa}")
-        if self.m < 2:
+        if _as_int(self.m, "m") < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
+        if self.m0 is not None:
+            _as_int(self.m0, "m0")
 
     @property
     def nu(self) -> float:

@@ -27,7 +27,7 @@ import sys
 from sudfdr import __version__
 from sudfdr.bounds import BoundInputs, gap_bound_fm, gap_bound_rm
 from sudfdr.exact import PrecisionError, fdp_pmf_histogram, fdr_sud
-from sudfdr.models import _json_int, mixture_from_config
+from sudfdr.models import _as_int, mixture_from_config
 from sudfdr.montecarlo import cross_validate, simulate_fdr
 from sudfdr.thresholds import curve_from_config, from_rho
 
@@ -122,7 +122,7 @@ def _lambdas(cfg: dict, m: int) -> list:
     lam = cfg.get("lambdas", "all")
     if lam == "all":
         return list(range(1, m + 1))
-    lams = {_json_int(x, "lambdas") for x in _as_list(lam)}
+    lams = {_as_int(x, "lambdas") for x in _as_list(lam)}
     if not lams:
         raise ValueError("empty lambda set")
     return sorted(lams)
@@ -187,7 +187,7 @@ def cmd_fdr_sweep(args) -> int:
             ],
         },
     )
-    m = _json_int(cfg["m"], "m")
+    m = _as_int(cfg["m"], "m")
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
     model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in cfg["alternatives"]]
@@ -242,11 +242,11 @@ def cmd_fdp_dist(args) -> int:
             "F": {"kind": "gaussian", "mu": 1.0},
         },
     )
-    m = _json_int(cfg["m"], "m")
-    bins = _json_int(cfg["bins"], "bins")
+    m = _as_int(cfg["m"], "m")
+    bins = _as_int(cfg["bins"], "bins")
     t = from_rho(_curve(cfg), m)
     model_cfg = mixture_from_config(cfg)
-    masses = fdp_pmf_histogram(t, _json_int(cfg["lambda"], "lambda"), model_cfg, bins)
+    masses = fdp_pmf_histogram(t, _as_int(cfg["lambda"], "lambda"), model_cfg, bins)
     rows = []
     for i, mass in enumerate(masses):
         lo = i / bins
@@ -277,7 +277,7 @@ def cmd_bound(args) -> int:
     kappa = float(cfg["kappa"])
     rows = []
     grid = itertools.product(
-        sorted(_json_int(x, "m") for x in _as_list(cfg["m"])),
+        sorted(_as_int(x, "m") for x in _as_list(cfg["m"])),
         sorted(float(x) for x in _as_list(cfg["zeta"])),
         sorted(float(x) for x in _as_list(cfg["delta"])),
     )
@@ -376,10 +376,10 @@ def cmd_validate(args) -> int:
             ],
         },
     )
-    m = _json_int(cfg["m"], "m")
+    m = _as_int(cfg["m"], "m")
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
-    n = args.n if args.n is not None else _json_int(cfg["n"], "n")
+    n = args.n if args.n is not None else _as_int(cfg["n"], "n")
     sigmas = float(cfg["sigmas"])
     rows = []
     all_pass = True

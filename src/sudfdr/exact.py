@@ -22,8 +22,10 @@ the outer product of two binomial p.m.f. rows, and the states that would
 have left at the tied steps are cut.  The reflected capped collection
 likewise starts at step m - lambda + 1.  Every dense binomial p.m.f. row
 (the jumps, the RM null/alternative splits and the widest kernel rows that
-set the bands) comes from one batched builder, _binomial_rows.  The RM
-step-up law and steck.psi run one single-population count, _exits.
+set the bands) comes from one batched builder, _binomial_rows.  There are
+two counts, one per state layout: the FM count _sd_fm_masses and the RM
+count _sd_rm_masses.  The RM step-up law and steck.psi need one population
+only, and run the FM count with no nulls, on a one-row state.
 
 A step's kernel K[r, s] = P(s of r points stay) is built only on its band
 0 <= r - s < w: w is the smallest width that keeps every entry of its widest
@@ -69,7 +71,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
-from sudfdr.models import AlternativeCdf, MixtureConfig
+from sudfdr.models import AlternativeCdf, MixtureConfig, _as_int
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -326,10 +328,13 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     """Step-down count of m0 nulls and m - m0 alternatives.
 
     u0[i-1] and u1[i-1] (nondecreasing in i) are the probabilities that a
-    null and an alternative lie below the i-th threshold.  Returns
-    M[k, j] = P(the first i with fewer than i points below is k + 1, and j
-    nulls lie below it), with k = m when there is no such i.  The state
-    P[r0, r1] holds the nulls and alternatives still above the threshold.
+    null and an alternative lie below the i-th threshold.  Returns the
+    (m + 1, m0 + 1) table M[k, j] = P(the first i with fewer than i points
+    below is k + 1, and j nulls lie below it), with k = m when there is no
+    such i.  The state P[r0, r1] holds the nulls and alternatives still
+    above the threshold.  With m0 = 0 (and u0 = 0) it is the one-population
+    count of m points below t_i with probability u1[i-1]: its state is the
+    one row P[0, r], and M[:, 0] is its exit law.
 
     The count starts at step `start` with one jump of every point to
     u[start-1], and cuts the states that would have left before it; when the
@@ -340,16 +345,18 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     m1 = m - m0
     lf = _log_factorials(max(m0, m1))
     live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
+    sizes = np.minimum(live[:, None], (m0, m1))  # so at most these nulls and alternatives
     v = np.array((u0[start - 1 :], u1[start - 1 :])).T
-    move, K = _moves(lf, np.minimum(live[1:, None], (m0, m1)), v[1:] - v[:-1], 1.0 - v[1:])
-    a, b = min(m0, live[0]), min(m1, live[0])
+    move, K = _moves(lf, sizes[1:], v[1:] - v[:-1], 1.0 - v[1:])
+    a, b = sizes[0]
     P = _binomial_rows(lf, np.array((m0, m1)), *_log(np.array((1.0 - v[0], v[0]))))  # points that stay above
     P = np.outer(P[0, : a + 1], P[1, : b + 1])
-    P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
-    out = np.zeros((m + 1, m + 1))
-    for i in range(start, m + 1):
+    if a + b > live[0]:
+        P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
+    out = np.zeros((m + 1, m0 + 1))
+    by_r0 = out[:, ::-1]  # by_r0[k, r0] = out[k, m0 - r0]: r0 nulls above, m0 - r0 below
+    for i, (a, b) in enumerate(sizes.tolist(), start):
         L = m - i + 1
-        a, b = min(m0, L), min(m1, L)
         if i > start:
             move0, move1 = move[i - start - 1]
             if move0:
@@ -357,34 +364,14 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
             if move1:
                 P = P[: a + 1, : b + 1] @ next(K)
             P = np.ascontiguousarray(P)
-        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i)
-        # leaves; P is C-contiguous and may carry extra zero rows and columns
-        lo, hi = max(0, L - b), min(a, L)
-        c = P.shape[1]
-        exits = P.reshape(-1)[L + lo * (c - 1) : L + hi * (c - 1) + 1 : max(c - 1, 1)]
-        out[i - 1, m0 - hi : m0 - lo + 1] = exits[::-1]
-        exits[:] = 0.0
+        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i),
+        # r0 = L - b..a, leaves; P is C-contiguous and may carry extra zero
+        # rows and columns, so cell (r0, L - r0) sits at flat L + r0 (c - 1)
+        c = P.shape[1] - 1
+        exits = P.ravel()[L + (L - b) * c : L + a * c + 1 : c or 1]
+        by_r0[i - 1, L - b : a + 1] = exits
+        exits.fill(0.0)
     out[m, m0] = P[0, 0]
-    return out
-
-
-def _exits(u: np.ndarray, start: int = 1) -> np.ndarray:
-    """The exit law out[k] = M[k, k] of M = _sd_fm_masses(u, zeros, m, start)
-    of m = len(u) points, each below the i-th threshold with probability
-    u[i-1], counted on a one-row state P[0, r] of the points still above."""
-    m = len(u)
-    lf = _log_factorials(m)
-    live = np.arange(m - start + 1, 0, -1)
-    v = u[start - 1 :, None]
-    move, K = _moves(lf, live[1:, None], v[1:] - v[:-1], 1.0 - v[1:])
-    P = _binomial_rows(lf, np.array((m,)), *_log(np.array((1.0 - v[0], v[0]))))[:, : live[0] + 1]
-    out = np.zeros(m + 1)
-    for i, L in enumerate(live.tolist(), start):
-        if i > start and move[i - start - 1][0]:
-            P = P[:, : L + 1] @ next(K)
-        out[i - 1] = P[0, L]  # only i - 1 points below t_i
-        P[0, L] = 0.0
-    out[m] = P[0, 0]
     return out
 
 
@@ -443,25 +430,15 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
-def _su_fm_masses(t: np.ndarray, Fv: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
-    """Step-up law in FM: the step-down count of 1 - p, read backwards.
-    Starting the count at reflected step `start` leaves the ranks
-    k > m - start + 1 at 0."""
-    M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], m0, start)
-    out = np.zeros_like(M)
-    out[:, : m0 + 1] = M[::-1, m0::-1]
-    return out
-
-
 def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
     """Step-up law in RM: the count of p-values with c.d.f. G gives k, and
     the k rejected p-values, i.i.d. below t_k, are null with probability
-    pi0*t_k/G(t_k) each.  `start` is as in _su_fm_masses, and the split is
-    built only for the ranks k <= m - start + 1 that the count reaches."""
+    pi0*t_k/G(t_k) each.  The count leaves the ranks k > m - start + 1 at 0,
+    and the split is built only for the ranks it reaches."""
     m = len(t)
     top = m - start + 1
     above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = _exits(above, start)[::-1][: top + 1]  # P(|R| = k), k = 0..top
+    counts = _sd_fm_masses(np.zeros(m), above, 0, start)[::-1, 0][: top + 1]  # P(|R| = k), k = 0..top
     tk = np.concatenate(([0.0], t[:top]))
     Fk = np.concatenate(([0.0], Fv[:top]))
     G = pi0 * tk + (1.0 - pi0) * Fk
@@ -475,11 +452,18 @@ def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
 
 
 def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:
-    if cfg.model == "FM":
-        builder = _su_fm_masses if procedure == "SU" else _sd_fm_masses
-        return builder(t, Fv, cfg.m0, start)
-    builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
-    return builder(t, Fv, cfg.pi0, start)
+    """The (m + 1)^2 law of a pure step-up or step-down rule.  A step-up law
+    is the step-down count of 1 - p, read backwards, from reflected step `start`."""
+    if cfg.model == "RM":
+        builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
+        return builder(t, Fv, cfg.pi0, start)
+    if procedure == "SD":
+        M = _sd_fm_masses(t, Fv, cfg.m0, start)
+    else:
+        M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0, start)[::-1, ::-1]
+    out = np.zeros((cfg.m + 1, cfg.m + 1))
+    out[:, : cfg.m0 + 1] = M
+    return out
 
 
 def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
@@ -513,7 +497,7 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     m = t.m
     if t.m != cfg.m:
         raise ValueError("threshold collection and model disagree on m")
-    if not 1 <= lam <= m:
+    if not 1 <= _as_int(lam, "lambda") <= m:
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     arr = t.as_array()
     Fv = cfg.F(arr)
@@ -590,7 +574,7 @@ def fdp_pmf_histogram(t: ThresholdCollection, lam: int, cfg: MixtureConfig, bins
     The final entry holds the atom at FDP = 1; entry 0 includes P(FDP = 0).
     Masses sum to 1 up to the documented tolerance.
     """
-    if bins < 1:
+    if _as_int(bins, "bins") < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
     return np.asarray(_expect(t, lam, cfg, lambda k, j: (1.0, _fdp_bin(_fdp(k, j), bins)), bins + 1))
 
@@ -602,7 +586,7 @@ def fdp_mean(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> float:
 
 def kfwer(t: ThresholdCollection, lam: int, cfg: MixtureConfig, k: int) -> float:
     """Exact k-FWER of the order-lambda SUD procedure: P(at least k false rejections)."""
-    if k < 1:
+    if _as_int(k, "k") < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return _expect(t, lam, cfg, lambda _, j: (j >= k, 0), 1)[0]
 
@@ -622,7 +606,7 @@ def step_at_one_closed_forms(m: int, m0: int, t0: float):
     """
     if not 0.0 < t0 < 1.0:
         raise ValueError(f"need t0 in (0,1), got {t0}")
-    if not 1 <= m0 <= m:
+    if not 1 <= _as_int(m0, "m0") <= _as_int(m, "m"):
         raise ValueError(f"need 1 <= m0 <= m, got m0={m0}, m={m}")
     fdr_sud_val = 1.0 - (1.0 - t0) ** m0
     fdr_su_val = m0 / m

@@ -161,10 +161,10 @@ class MixtureConfig:
     def __post_init__(self):
         if self.model not in ("FM", "RM"):
             raise ValueError(f"model must be 'FM' or 'RM', got {self.model!r}")
-        if self.m < 2:
+        if _as_int(self.m, "m") < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
         if self.model == "FM":
-            if self.m0 is None or not 0 <= self.m0 <= self.m:
+            if self.m0 is None or not 0 <= _as_int(self.m0, "m0") <= self.m:
                 raise ValueError(f"FM needs 0 <= m0 <= m, got m0={self.m0}")
         else:
             if self.pi0 is None or not 0.0 <= self.pi0 <= 1.0:
@@ -252,11 +252,12 @@ def cdf_from_config(cfg: dict) -> AlternativeCdf:
     raise ValueError(f"unknown alternative c.d.f. kind: {kind!r}")
 
 
-def _json_int(x, key: str) -> int:
-    """x when it is a JSON integer; a float or a bool raises ValueError."""
-    if isinstance(x, bool) or not isinstance(x, int):
+def _as_int(x, key: str) -> int:
+    """x as an int if it is a Python or numpy integer, else ValueError (a bool
+    too); every count and order (m, m0, k, bins, lambda, n) goes through it."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise ValueError(f"{key} must be an integer, got {x!r}")
-    return x
+    return int(x)
 
 
 def mixture_from_config(cfg: dict) -> MixtureConfig:
@@ -264,7 +265,7 @@ def mixture_from_config(cfg: dict) -> MixtureConfig:
     model = cfg.get("model")
     F = cdf_from_config(cfg["F"])
     if model == "FM":
-        return MixtureConfig(model="FM", m=_json_int(cfg["m"], "m"), m0=_json_int(cfg["m0"], "m0"), F=F)
+        return MixtureConfig(model="FM", m=cfg["m"], m0=cfg["m0"], F=F)
     if model == "RM":
-        return MixtureConfig(model="RM", m=_json_int(cfg["m"], "m"), pi0=float(cfg["pi0"]), F=F)
+        return MixtureConfig(model="RM", m=cfg["m"], pi0=float(cfg["pi0"]), F=F)
     raise ValueError(f"unknown model: {model!r}")

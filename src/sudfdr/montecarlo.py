@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sudfdr.exact import _fdp_bin
-from sudfdr.models import MixtureConfig, sample_blocks
+from sudfdr.models import MixtureConfig, _as_int, sample_blocks
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -146,11 +146,11 @@ def _khat_rows(cleared: np.ndarray, orders: list) -> dict:
 def _orders(lambdas, m: int, n: int) -> list:
     """The distinct orders in first-seen order, after checking that each
     lies in [1, m] and that n >= 1."""
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
     orders = list(dict.fromkeys(lambdas))
     for lam in orders:
-        if not 1 <= lam <= m:
+        if not 1 <= _as_int(lam, "lambda") <= m:
             raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     return orders
 
@@ -212,7 +212,7 @@ def simulate_fdp_hist(
 ) -> McEstimate:
     """Binned FDP frequencies; bin i covers [i/bins, (i+1)/bins), the last
     bin holding the atom at 1, by the bin rule of the exact histogram."""
-    if bins < 1:
+    if _as_int(bins, "bins") < 1:
         raise ValueError(f"need bins >= 1, got {bins}")
     counts = np.zeros(bins + 1, dtype=np.int64)
     total = []
@@ -233,7 +233,7 @@ def simulate_kfwer(
     t: ThresholdCollection, lam: int, cfg: MixtureConfig, k: int, n: int, seed: int
 ) -> McEstimate:
     """Frequency of {at least k false rejections}, read off the joint counts."""
-    if k < 1:
+    if _as_int(k, "k") < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n_hits = float(simulate_joint_counts(t, lam, cfg, n, seed)[:, k:].sum())
     mean, se = _mean_se(n_hits, n_hits, n)  # indicator: x^2 = x

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sudfdr.models import _as_int
 from sudfdr.thresholds import CriticalValueFunction, ThresholdCollection, from_rho
 
 __all__ = [
@@ -69,9 +70,9 @@ def sud_khat(p, t: ThresholdCollection, lam: int, m0: int | None = None) -> SudO
         raise ValueError(f"expected {m} p-values, got {len(p)}")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("p-values must lie in [0, 1]")
-    if not 1 <= lam <= m:
+    if not 1 <= _as_int(lam, "lambda") <= m:
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
-    if m0 is not None and not 0 <= m0 <= m:
+    if m0 is not None and not 0 <= _as_int(m0, "m0") <= m:
         raise ValueError(f"m0 must be in [0, {m}], got {m0}")
     ps = np.sort(p)
     thr = t.as_array()

@@ -7,13 +7,13 @@ k0 of the variables are uniform and the other k - k0 have c.d.f. F.
 
 Both are forward counts: the number of points still above the threshold is
 carried past t_1, t_2, ... with binomial transitions, and the states with
-fewer than i points below t_i are cut.  psi is the no-exit mass of the
-engine's one-population count exact._exits, the count the RM step-up law
-also runs, and never calls the two-population count; psi_two_pop is the
-no-exit cell of the engine's step-down count.  Every term is a nonnegative
-product, so nothing is clamped: the masses of each count (the cut ones and
-the survivors) pass the engine's mass check, which raises PrecisionError
-when double precision runs out.
+fewer than i points below t_i are cut.  Both read the engine's step-down
+count exact._sd_fm_masses: psi_two_pop its no-exit cell with k0 nulls, and
+psi the no-exit mass of its one-population case (no nulls, every point in
+the second population), the count the RM step-up law also runs.  Every
+term is a nonnegative product, so nothing is clamped: the masses of each
+count (the cut ones and the survivors) pass the engine's mass check, which
+raises PrecisionError when double precision runs out.
 
 psi_rational and psi_two_pop_rational run the two-population count in exact
 integer arithmetic, to calibrate the double-precision error.
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from sudfdr import exact
-from sudfdr.models import AlternativeCdf
+from sudfdr.models import AlternativeCdf, _as_int
 
 __all__ = ["psi", "psi_two_pop", "psi_rational", "psi_two_pop_rational"]
 
@@ -40,16 +40,16 @@ def _check_thresholds(t):
 
 
 def _check_k0(k0: int, k: int):
-    if not 0 <= k0 <= k:
+    if not 0 <= _as_int(k0, "k0") <= k:
         raise ValueError(f"need 0 <= k0 <= k, got k0={k0}, k={k}")
 
 
 def psi(t) -> float:
     """P(U_(1) <= t_1, ..., U_(k) <= t_k) for k i.i.d. uniforms: the no-exit
-    mass of the one-population count exact._exits."""
+    mass of exact._sd_fm_masses with no nulls, whose exit law must pass the mass check."""
     t = np.asarray(t, dtype=float)
     _check_thresholds(t)
-    out = exact._exits(t) if len(t) else np.ones(1)  # nothing to cross
+    out = exact._sd_fm_masses(np.zeros(len(t)), t, 0)[:, 0] if len(t) else np.ones(1)  # nothing to cross
     exact._check_masses(out)
     return float(out[-1])
 

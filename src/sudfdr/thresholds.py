@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sudfdr.models import _as_int
+
 __all__ = [
     "CriticalValueFunction",
     "LinearCurve",
@@ -165,6 +167,12 @@ class ThresholdCollection:
             return 1.0
         return self.t[k - 1]
 
+    def __iter__(self):  # t_1..t_m: indexing's t_0 and t_{m+1} are conventions
+        return iter(self.t)
+
+    def __len__(self) -> int:
+        return self.m
+
     def as_array(self) -> np.ndarray:
         return np.asarray(self.t)
 
@@ -177,7 +185,7 @@ class ValidationReport:
 
 def from_rho(rho: CriticalValueFunction, m: int) -> ThresholdCollection:
     """Build the threshold collection t_k = rho(k/m), k = 1..m."""
-    if m < 2:
+    if _as_int(m, "m") < 2:
         raise ValueError(f"need m >= 2, got {m}")
     return ThresholdCollection(rho(np.arange(1, m + 1) / m))
 

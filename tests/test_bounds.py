@@ -127,6 +127,12 @@ def test_fm_bound_rejects_degenerate_m0():
         gap_bound_fm(_inputs(m0=100))
 
 
+def test_bound_inputs_reject_non_integer_counts():
+    for kwargs, key in [(dict(m0=70.5), "m0"), (dict(m=100.5), "m")]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            _inputs(**kwargs)
+
+
 def test_rm_bound_structure():
     inp = _inputs(m=10**4, delta=0.05, m0=None, gamma=0.025)
     res = gap_bound_rm(inp)

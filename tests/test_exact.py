@@ -297,3 +297,29 @@ def test_kfwer_identities():
     for k in (0, -1):
         with pytest.raises(ValueError):
             kfwer(T10, 5, _fm(IdentityCdf()), k)
+
+
+T4 = from_rho(LinearCurve(0.5), 4)
+FM4 = _fm(GaussianLocationCdf(1.0), m=4, m0=2)
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: kfwer(T4, 2, FM4, 1.5), "k"),
+        (lambda: fdp_pmf_histogram(T4, 2, FM4, 2.5), "bins"),
+        (lambda: fdr_sud(T4, 2.0, FM4), "lambda"),
+        (lambda: sud_joint_masses(T4, True, FM4), "lambda"),
+        (lambda: step_at_one_closed_forms(4, 1.5, 0.1), "m0"),
+    ],
+    ids=["kfwer-k", "fdp_pmf_histogram-bins", "fdr_sud-lambda", "sud_joint_masses-bool", "closed-forms-m0"],
+)
+def test_non_integer_counts_raise_value_error(call, key):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = _fm(FM4.F, m=np.int64(4), m0=np.int32(2))
+    assert kfwer(T4, np.int64(2), cfg, np.int32(2)) == kfwer(T4, 2, FM4, 2)
+    assert np.array_equal(fdp_pmf_histogram(T4, 2, FM4, np.uint8(3)), fdp_pmf_histogram(T4, 2, FM4, 3))

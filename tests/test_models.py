@@ -177,6 +177,21 @@ def test_mixture_config_validation():
         MixtureConfig(model="XX", m=10, m0=5, F=IdentityCdf())
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        (dict(model="FM", m=4, m0=1.5), "m0"),
+        (dict(model="FM", m=4, m0=True), "m0"),
+        (dict(model="FM", m=4.0, m0=2), "m"),
+        (dict(model="RM", m=10.5, pi0=0.5), "m"),
+    ],
+    ids=["FM-m0", "FM-m0-bool", "FM-m", "RM-m"],
+)
+def test_mixture_config_rejects_non_integer_counts(kwargs, key):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        MixtureConfig(F=IdentityCdf(), **kwargs)
+
+
 def test_config_roundtrips():
     cfg = mixture_from_config({"model": "FM", "m": 10, "m0": 7, "F": {"kind": "gaussian", "mu": 1.0}})
     assert cfg.to_config() == {"model": "FM", "m": 10, "m0": 7, "F": {"kind": "gaussian", "mu": 1.0}}

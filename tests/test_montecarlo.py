@@ -153,6 +153,22 @@ def test_every_entry_point_rejects_orders_outside_1_m(lam):
             call()
 
 
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: simulate_fdr(T10, 2.0, _GAUSS_FM, 100, seed=0), "lambda"),
+        (lambda: simulate_fdr_sweep(T10, [5, 2.0], _GAUSS_FM, 100, seed=0), "lambda"),
+        (lambda: simulate_kfwer(T10, 5, _GAUSS_FM, k=1.5, n=100, seed=0), "k"),
+        (lambda: simulate_fdp_hist(T10, 5, _GAUSS_FM, 100, bins=2.5, seed=0), "bins"),
+        (lambda: simulate_joint_counts(T10, 5, _GAUSS_FM, 100.0, seed=0), "n"),
+    ],
+    ids=["simulate_fdr-lambda", "sweep-lambda", "simulate_kfwer-k", "simulate_fdp_hist-bins", "joint-counts-n"],
+)
+def test_non_integer_counts_raise_value_error(call, key):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        call()
+
+
 def test_sweep_counts_a_repeated_order_once():
     twice = simulate_fdr_sweep(T10, [5, 5], _GAUSS_FM, 1000, seed=0)
     once = simulate_fdr_sweep(T10, [5], _GAUSS_FM, 1000, seed=0)

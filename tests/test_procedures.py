@@ -76,6 +76,13 @@ def test_input_validation():
         sud_khat([0.1, 0.2, 0.3, 0.4], t, 5)
 
 
+def test_sud_khat_rejects_non_integer_counts():
+    t = from_rho(LinearCurve(0.5), 4)
+    for lam, m0, key in [(2.0, None, "lambda"), (2, 1.5, "m0"), (2, True, "m0")]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            sud_khat([0.1, 0.2, 0.3, 0.4], t, lam, m0=m0)
+
+
 @pytest.mark.parametrize(
     "p", [[math.nan, 0.01, 0.02, 0.03], [-0.5, 1.7, 0.02, 0.03], [0.01, 0.02, 0.03, -0.0001]]
 )

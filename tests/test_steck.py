@@ -174,6 +174,13 @@ def test_rational_mode_rejects_other_alternatives():
             psi_two_pop_rational([Fraction(1, 2)], 2, alt)
 
 
+def test_non_integer_k0_raises_value_error():
+    with pytest.raises(ValueError, match="k0 must be an integer"):
+        psi_two_pop([0.1, 0.5], 1.5, GaussianLocationCdf(1.0))
+    with pytest.raises(ValueError, match="k0 must be an integer"):
+        psi_two_pop_rational([Fraction(1, 5), Fraction(1, 2)], 1.0)
+
+
 def test_table_dirac_shortcut_matches_rational():
     rng = np.random.default_rng(9)
     fr = sorted(Fraction(int(x), 32) for x in rng.integers(1, 33, 8))
@@ -282,7 +289,7 @@ def test_two_pop_raises_when_its_count_fails_the_mass_check(monkeypatch, defect)
 
     def faulty(*args):
         masses = count(*args)
-        masses[0, 1:] += defect  # cells with j > k = 0, which hold 0
+        masses[[0, 2], [1, 0]] += defect  # (k, j) = (0, 1) and (2, 0), j > k and j < k - m1: both hold 0
         return masses
 
     monkeypatch.setattr(exact, "_sd_fm_masses", faulty)

@@ -161,3 +161,17 @@ def test_from_rho_equals_the_scalar_construction(m):
     for rho in curves:
         scalar = tuple(float(rho(k / m)) for k in range(1, m + 1))
         assert from_rho(rho, m).t == scalar
+
+
+def test_iteration_and_len_cover_the_m_thresholds():
+    # indexing keeps t_0 = 0 and t_{m+1} = 1; iteration and len do not
+    t = from_rho(LinearCurve(0.5), 4)
+    assert list(t) == [0.125, 0.25, 0.375, 0.5]
+    assert len(t) == 4
+    assert np.array_equal(np.asarray(t), t.as_array())
+
+
+def test_from_rho_rejects_a_non_integer_m():
+    with pytest.raises(ValueError, match="m must be an integer"):
+        from_rho(LinearCurve(0.5), 4.0)
+    assert from_rho(LinearCurve(0.5), np.int64(4)) == from_rho(LinearCurve(0.5), 4)
