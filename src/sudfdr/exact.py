@@ -46,6 +46,36 @@ made C-contiguous for the strided slice that reads and clears each exit
 anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
 of the (n0, r) state that indexes it by (n1, r).
 
+A sweep over lambda runs many counts on one problem, (the model, m0 or pi0,
+t, F(t)), and their kernels are shared: the floored collection of order
+lambda equals t after step lambda, and the reflected capped one equals the
+reflected t after step m - lambda + 1, while the state sizes min(m - i + 1,
+m0 or m1) depend on the step i alone.  So the kernels a count needs from its
+start on are those of the same direction's count from step 1, with ties and
+with populations that do not move alike, and each count reads t and F(t)
+only from its start on, where the floor and the cap change nothing.
+sud_joint_masses keeps the step tables of the last small problem in one
+module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
+bytes of t and F(t)): for the step-down direction and the reflected step-up
+one, the move flags and the kernels of steps 2..m, each its own contiguous
+array, the jump rows of every start and, for the RM step-up law, the null
+split of every rank.  Both directions are built whole on a miss, and the
+count of order lambda slices them from its start on, building no kernel.
+A problem is retained when the float64 entries of its two tables, counted
+from (model, m, m0) with every population taken as moving, fit in 2^17
+(1 MiB): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
+RM, so every retained kernel is dense.  A larger problem streams its
+kernels batch by batch as above, and so do joint_pmf and steck.psi.  A miss
+replaces the slot, so alternating two small problems rebuilds both tables
+on every call (sud counterexample, 24 calls that alternate two m = 10
+problems, takes about 2 ms more per run, 10 ms in all), and a one-off call
+on a small problem builds both whole directions, about twice the kernels
+it uses.  A retained
+problem's kernels are always the same whole-direction build, so an order's
+law is the same array whether the slot was cold or warm, in any order of
+calls; it differs from the streamed count of the same order by rounding
+only, as the batches that build a kernel differ.
+
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
 nonzero cells, gives each cell a value and a group, and the result is one
@@ -324,7 +354,41 @@ class _Blocks:
         return out
 
 
-def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np.ndarray:
+class _Table:
+    """Steps 2..m of one direction of a retained problem, as its count from
+    step 1 builds them: the move flags of each step and the dense kernels of
+    its moving populations, each copied into its own contiguous array so
+    that no batch buffer is kept (a retained problem has m < _BANDED_MIN, so
+    every kernel is dense).  `jumps` holds the jump rows of every start (see
+    _fm_jumps) of an FM-layout count, and `split` the null split of every
+    rank (see _rm_split) of the RM step-up law."""
+
+    def __init__(self, moves: tuple, jumps: np.ndarray | None = None, split: np.ndarray | None = None):
+        move, kernels = moves
+        self.move = move
+        self.kernels = [K.copy() for K in kernels]
+        self.first = list(itertools.accumulate(map(sum, move), initial=0))  # kernels before each step
+        self.jumps, self.split = jumps, split
+
+    def after(self, start: int):
+        """The move flags and the kernels of the steps after `start`, as _moves hands them out."""
+        return self.move[start - 1 :], iter(self.kernels[self.first[start - 1] :])
+
+
+def _fm_moves(lf: np.ndarray, sizes: np.ndarray, v: np.ndarray):
+    """_moves of the FM count over the steps after the first row of v = (u0, u1)."""
+    return _moves(lf, sizes[1:], v[1:] - v[:-1], 1.0 - v[1:])
+
+
+def _fm_jumps(lf: np.ndarray, v: np.ndarray, m0: int, m1: int) -> np.ndarray:
+    """The jump rows of a count started at each row s of v = (u0, u1), in
+    one _binomial_rows call: [s, 0] is Bin(m0, 1 - u0) and [s, 1] is
+    Bin(m1, 1 - u1), the numbers of nulls and alternatives that stay above."""
+    logs = _log(np.array((1.0 - v, v))).reshape(2, -1)
+    return _binomial_rows(lf, np.tile((m0, m1), len(v)), *logs).reshape(len(v), 2, -1)
+
+
+def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1, table: _Table | None = None) -> np.ndarray:
     """Step-down count of m0 nulls and m - m0 alternatives.
 
     u0[i-1] and u1[i-1] (nondecreasing in i) are the probabilities that a
@@ -339,17 +403,23 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     The count starts at step `start` with one jump of every point to
     u[start-1], and cuts the states that would have left before it; when the
     first `start` thresholds are tied this is exact for rows k >= start - 1,
-    and the rows below are left 0.
+    and the rows below are left 0.  It reads u only from u[start-1] on.  Its
+    kernels and jump rows come from `table`, the retained count from step 1
+    of the same (u0, u1, m0), when one is given.
     """
     m = len(u0)
     m1 = m - m0
     lf = _log_factorials(max(m0, m1))
     live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
     sizes = np.minimum(live[:, None], (m0, m1))  # so at most these nulls and alternatives
-    v = np.array((u0[start - 1 :], u1[start - 1 :])).T
-    move, K = _moves(lf, sizes[1:], v[1:] - v[:-1], 1.0 - v[1:])
+    if table:
+        move, K = table.after(start)
+        P = table.jumps[start - 1]
+    else:
+        v = np.array((u0[start - 1 :], u1[start - 1 :])).T
+        move, K = _fm_moves(lf, sizes, v) if start < m else ([], iter(()))
+        P = _fm_jumps(lf, v[:1], m0, m1)[0]
     a, b = sizes[0]
-    P = _binomial_rows(lf, np.array((m0, m1)), *_log(np.array((1.0 - v[0], v[0]))))  # points that stay above
     P = np.outer(P[0, : a + 1], P[1, : b + 1])
     if a + b > live[0]:
         P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
@@ -375,9 +445,20 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1) -> np
     return out
 
 
-def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
+def _rm_moves(lf: np.ndarray, t: np.ndarray, Fv: np.ndarray, pi0: float):
+    """_moves of the RM step-down count over the steps after t[0]: at each,
+    both populations hold the live points above; the drops are split into
+    nulls (moved in the (n1, r) layout) and alternatives."""
+    live = np.arange(len(t) - 1, 0, -1)
+    w0 = pi0 * (t[1:] - t[:-1])
+    w1 = (1.0 - pi0) * (Fv[1:] - Fv[:-1])
+    above = pi0 * (1.0 - t[1:]) + (1.0 - pi0) * (1.0 - Fv[1:])
+    return _moves(lf, live[:, None].repeat(2, axis=1), np.array((w0, w1)).T, np.array((w1 + above, above)).T)
+
+
+def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1, table: _Table | None = None) -> np.ndarray:
     """Step-down count in RM(m, pi0, F): masses[k, j] as in _sd_fm_masses,
-    with the same jump start.
+    with the same jump start, the same reads and the same kernel `table`.
 
     The state P[n0, r] holds the nulls below and the points above the
     threshold.  The points that drop below are split into nulls, moved in
@@ -390,12 +471,11 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     lf = _log_factorials(m)
     live = np.arange(m - start + 1, 0, -1)
     tt, FF = t[start - 1 :], Fv[start - 1 :]
-    w0 = pi0 * (tt[1:] - tt[:-1])
-    w1 = (1.0 - pi0) * (FF[1:] - FF[:-1])
-    above = pi0 * (1.0 - tt) + (1.0 - pi0) * (1.0 - FF)
-    move, K = _moves(
-        lf, live[1:, None].repeat(2, axis=1), np.array((w0, w1)).T, np.array((w1 + above[1:], above[1:])).T
-    )
+    if table:
+        move, K = table.after(start)
+    else:
+        move, K = _rm_moves(lf, tt, FF, pi0) if start < m else ([], iter(()))
+    above = pi0 * (1.0 - tt[0]) + (1.0 - pi0) * (1.0 - FF[0])
     pad = int(live[0])
     Z = np.zeros((pad + m + 1, pad + 1))
     P = Z[pad:]
@@ -405,7 +485,7 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
     drop = pi0 * tt[0] + (1.0 - pi0) * FF[0]
     null, alt = (pi0 * tt[0] / drop, (1.0 - pi0) * FF[0] / drop) if drop > 0.0 else (0.0, 1.0)
     # row 0: the stay row of all m points; row 1 + r: the split of m - r
-    logs = _log(np.array([(above[0] / (drop + above[0]), drop / (drop + above[0]))] + [(null, alt)] * (pad + 1)))
+    logs = _log(np.array([(above / (drop + above), drop / (drop + above))] + [(null, alt)] * (pad + 1)))
     rows = _binomial_rows(lf, np.concatenate(((m,), m - np.arange(pad + 1))), logs[:, 0], logs[:, 1])
     P[...] = np.multiply(rows[1:], rows[0, : pad + 1, None], out=rows[1:]).T
     del rows
@@ -430,40 +510,107 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
-def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1) -> np.ndarray:
+def _rm_split(lf: np.ndarray, t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.ndarray:
+    """Row k, k = 0..len(t), is the law of the nulls among k rejected
+    p-values: they are i.i.d. below t_k, null with probability
+    pi0*t_k/G(t_k) each."""
+    tk = np.concatenate(([0.0], t))
+    Fk = np.concatenate(([0.0], Fv))
+    G = pi0 * tk + (1.0 - pi0) * Fk
+    hit = G > 0.0  # where G(t_k) = 0, P(|R| = k) = 0 for k >= 1
+    null = np.divide(pi0 * tk, G, out=np.ones(len(tk)), where=hit)
+    alt = np.divide((1.0 - pi0) * Fk, G, out=np.zeros(len(tk)), where=hit)
+    return _binomial_rows(lf, np.arange(len(tk)), _log(null), _log(alt))
+
+
+def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1, table: _Table | None = None) -> np.ndarray:
     """Step-up law in RM: the count of p-values with c.d.f. G gives k, and
-    the k rejected p-values, i.i.d. below t_k, are null with probability
-    pi0*t_k/G(t_k) each.  The count leaves the ranks k > m - start + 1 at 0,
-    and the split is built only for the ranks it reaches."""
+    the k rejected p-values split into nulls by _rm_split.  The count leaves
+    the ranks k > m - start + 1 at 0, and the split is built only for the
+    ranks it reaches, or sliced from the split of every rank in `table`."""
     m = len(t)
     top = m - start + 1
     above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = _sd_fm_masses(np.zeros(m), above, 0, start)[::-1, 0][: top + 1]  # P(|R| = k), k = 0..top
-    tk = np.concatenate(([0.0], t[:top]))
-    Fk = np.concatenate(([0.0], Fv[:top]))
-    G = pi0 * tk + (1.0 - pi0) * Fk
-    hit = G > 0.0  # where G(t_k) = 0, P(|R| = k) = 0 for k >= 1
-    null = np.divide(pi0 * tk, G, out=np.ones(top + 1), where=hit)
-    alt = np.divide((1.0 - pi0) * Fk, G, out=np.zeros(top + 1), where=hit)
-    split = _binomial_rows(_log_factorials(m), np.arange(top + 1), _log(null), _log(alt))
+    counts = _sd_fm_masses(np.zeros(m), above, 0, start, table)[::-1, 0][: top + 1]  # P(|R| = k), k = 0..top
+    split = table.split[: top + 1, : top + 1] if table else _rm_split(_log_factorials(m), t[:top], Fv[:top], pi0)
     out = np.zeros((m + 1, m + 1))
     np.multiply(split, counts[:, None], out=out[: top + 1, : top + 1])
     return out
 
 
-def _masses(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1) -> np.ndarray:
+def _masses(
+    procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1, table: _Table | None = None
+) -> np.ndarray:
     """The (m + 1)^2 law of a pure step-up or step-down rule.  A step-up law
-    is the step-down count of 1 - p, read backwards, from reflected step `start`."""
+    is the step-down count of 1 - p, read backwards, from reflected step
+    `start`.  `table` is the retained table of that direction, if any."""
     if cfg.model == "RM":
         builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
-        return builder(t, Fv, cfg.pi0, start)
+        return builder(t, Fv, cfg.pi0, start, table)
     if procedure == "SD":
-        M = _sd_fm_masses(t, Fv, cfg.m0, start)
+        M = _sd_fm_masses(t, Fv, cfg.m0, start, table)
     else:
-        M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0, start)[::-1, ::-1]
+        M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0, start, table)[::-1, ::-1]
     out = np.zeros((cfg.m + 1, cfg.m + 1))
     out[:, : cfg.m0 + 1] = M
     return out
+
+
+# ---------------------------------------------------------------------------
+# the retained step tables of a small problem
+# ---------------------------------------------------------------------------
+
+_SLOT_ENTRIES = 1 << 17  # float64 entries the slot may hold: 1 MiB
+_slot = None  # (key, (step-down table, step-up table)) of the last retained problem, or None
+
+
+@functools.cache
+def _slot_entries(model: str, m: int, m0: int | None) -> int:
+    """The float64 entries the two tables of a problem hold at most, from
+    (model, m, m0) alone: the dense kernels of steps 2..m of both
+    directions, with every population taken as moving, and their rows."""
+    live = np.arange(m - 1, 0, -1)  # the points above after steps 2..m
+    if model == "RM":
+        # step-down: two populations of live points; step-up: one, with the
+        # jump rows of both (the null one empty) and the split
+        return 3 * int(((live + 1) ** 2).sum()) + 2 * m * (m + 1) + (m + 1) ** 2
+    kernels = sum(int(((np.minimum(live, n) + 1) ** 2).sum()) for n in (m0, m - m0))
+    return 2 * (kernels + 2 * m * (max(m0, m - m0) + 1))
+
+
+def _table(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> _Table:
+    """The table of one direction of the problem: what _masses(procedure, t,
+    Fv, cfg, start) reads, built once for every start."""
+    m = len(t)
+    if cfg.model == "RM" and procedure == "SD":
+        return _Table(_rm_moves(_log_factorials(m), t, Fv, cfg.pi0))
+    split = None
+    if cfg.model == "RM":  # the one-population count of _su_rm_masses
+        m0, u0, u1 = 0, np.zeros(m), (cfg.pi0 * (1.0 - t) + (1.0 - cfg.pi0) * (1.0 - Fv))[::-1]
+        split = _rm_split(_log_factorials(m), t, Fv, cfg.pi0)
+    elif procedure == "SD":
+        m0, u0, u1 = cfg.m0, t, Fv
+    else:
+        m0, u0, u1 = cfg.m0, 1.0 - t[::-1], 1.0 - Fv[::-1]
+    lf = _log_factorials(max(m0, m - m0))
+    v = np.array((u0, u1)).T
+    sizes = np.minimum(np.arange(m, 0, -1)[:, None], (m0, m - m0))
+    return _Table(_fm_moves(lf, sizes, v), _fm_jumps(lf, v, m0, m - m0), split)
+
+
+def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> tuple:
+    """The (step-down, step-up) tables of the problem (cfg, t, F(t)) from
+    the slot, both built whole on a miss; (None, None) for a problem too
+    large to retain, whose counts stream their kernels."""
+    global _slot
+    if _slot_entries(cfg.model, len(t), cfg.m0) > _SLOT_ENTRIES:
+        return None, None
+    key = (cfg.model, cfg.m0 if cfg.model == "FM" else cfg.pi0, t.tobytes(), Fv.tobytes())
+    slot = _slot
+    if slot is None or slot[0] != key:
+        _slot = slot = None  # free the old problem's tables before building the new ones
+        slot = _slot = key, (_table("SD", t, Fv, cfg), _table("SU", t, Fv, cfg))
+    return slot[1]
 
 
 def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
@@ -491,7 +638,8 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     capped and floored collections are the capped and floored F(t_j).  The
     floored collection is tied at t_lambda up to step lambda and the
     reflected capped one up to step m - lambda + 1, so each count starts
-    there with one jump.
+    there with one jump, and reads only the thresholds from its start on,
+    which the floor and the cap leave as they are: both counts run on t.
     """
     _require_continuous(cfg.F)
     m = t.m
@@ -501,9 +649,9 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     arr = t.as_array()
     Fv = cfg.F(arr)
-    cap, Fcap = arr[lam - 1], Fv[lam - 1]
-    masses = _masses("SD", np.maximum(arr, cap), np.maximum(Fv, Fcap), cfg, lam)
-    masses[:lam] = _masses("SU", np.minimum(arr, cap), np.minimum(Fv, Fcap), cfg, m - lam + 1)[:lam]
+    sd, su = _tables(arr, Fv, cfg)
+    masses = _masses("SD", arr, Fv, cfg, lam, sd)
+    masses[:lam] = _masses("SU", arr, Fv, cfg, m - lam + 1, su)[:lam]
     return JointPmf(masses)
 
 

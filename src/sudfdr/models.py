@@ -159,13 +159,16 @@ class MixtureConfig:
     pi0: float | None = None
 
     def __post_init__(self):
+        # counts are stored as int, so a numpy integer given here cannot reach to_config()'s JSON
         if self.model not in ("FM", "RM"):
             raise ValueError(f"model must be 'FM' or 'RM', got {self.model!r}")
-        if _as_int(self.m, "m") < 2:
+        object.__setattr__(self, "m", _as_int(self.m, "m"))
+        if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
         if self.model == "FM":
             if self.m0 is None or not 0 <= _as_int(self.m0, "m0") <= self.m:
                 raise ValueError(f"FM needs 0 <= m0 <= m, got m0={self.m0}")
+            object.__setattr__(self, "m0", int(self.m0))
         else:
             if self.pi0 is None or not 0.0 <= self.pi0 <= 1.0:
                 raise ValueError(f"RM needs pi0 in [0,1], got pi0={self.pi0}")

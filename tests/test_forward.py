@@ -272,7 +272,8 @@ def test_jump_started_halves_match_counts_from_step_one(F, tied):
     ids=["FM", "RM"],
 )
 def test_kernels_are_built_in_batches(monkeypatch, cfg, most):
-    # one build per step would be about 47 per call
+    # one build per step would be about 47 per call; the cold call builds
+    # the problem's whole tables, and the later orders slice them
     t = from_rho(LinearCurve(0.5), cfg.m)
     calls = []
     build = exact._binomial_batch
@@ -282,10 +283,14 @@ def test_kernels_are_built_in_batches(monkeypatch, cfg, most):
         return build(*args)
 
     monkeypatch.setattr(exact, "_binomial_batch", counting)
+    monkeypatch.setattr(exact, "_slot", None)
     for lam in (1, 15, 30):
         calls.clear()
         fdr_sud(t, lam, cfg)
-        assert 0 < len(calls) <= most, (lam, calls)
+        if lam == 1:
+            assert 0 < len(calls) <= most, (lam, calls)
+        else:
+            assert not calls, (lam, calls)
 
 
 def _sweep_configs(m: int) -> list:
@@ -325,6 +330,119 @@ def test_kernel_batches_build_few_unused_entries(monkeypatch):
         for lam in range(1, 31):
             fdr_sud(t, lam, cfg)
     assert sum(built) <= 1.5 * sum(used), (sum(built), sum(used))
+
+
+# ---------------------------------------------------------------------------
+# retained step tables
+# ---------------------------------------------------------------------------
+
+
+def test_a_sweep_builds_each_direction_once(monkeypatch):
+    # one _moves call per count, 60 per problem, when every order builds its
+    # own kernels: 7830 kernels in 358 batches over the whole sweep
+    moves, build = exact._moves, exact._binomial_batch
+    calls, kernels = [], []
+
+    def counting(lf, sizes, drop, stay):
+        calls.append(len(sizes))
+        return moves(lf, sizes, drop, stay)
+
+    def building(lf, n, *args):
+        kernels.append(len(n))
+        return build(lf, n, *args)
+
+    monkeypatch.setattr(exact, "_moves", counting)
+    monkeypatch.setattr(exact, "_binomial_batch", building)
+    monkeypatch.setattr(exact, "_slot", None)
+    t = from_rho(LinearCurve(0.5), 30)
+    for cfg in _sweep_configs(30):
+        calls.clear()
+        for lam in range(1, 31):
+            fdr_sud(t, lam, cfg)
+        assert calls == [29, 29], (cfg, calls)  # steps 2..m of each direction
+    assert len(kernels) <= 20 and sum(kernels) <= 600, (len(kernels), sum(kernels))
+
+
+def _cfgs_at_m30(F: AlternativeCdf) -> list:
+    return [MixtureConfig(model="FM", m=30, m0=m0, F=F) for m0 in (0, 21, 30)] + [
+        MixtureConfig(model="RM", m=30, pi0=pi0, F=F) for pi0 in (0.7, 1.0)
+    ]
+
+
+@pytest.mark.parametrize("F", [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf()], ids=lambda F: F.kind)
+@pytest.mark.parametrize("tied", [False, True], ids=["linear", "tied"])
+def test_cold_and_warm_slots_give_equal_laws(monkeypatch, F, tied):
+    # an order's law does not depend on whether its problem's tables were
+    # built for it or retained from other orders, in any order of calls,
+    # with another problem evicting the slot midway
+    m = 30
+    linear, ties = from_rho(LinearCurve(0.5), m), _tied_thresholds(m)
+    t, other = (ties, linear) if tied else (linear, ties)
+    rng = np.random.default_rng(17)
+    for cfg in _cfgs_at_m30(F):
+        cold = []
+        for lam in range(1, m + 1):
+            monkeypatch.setattr(exact, "_slot", None)
+            cold.append(sud_joint_masses(t, lam, cfg).masses)
+        lams = list(range(1, m + 1))
+        for order in (lams, lams[::-1], rng.permutation(lams).tolist()):
+            for n, lam in enumerate(order):
+                if n == m // 2:
+                    sud_joint_masses(other, lam, cfg)
+                assert np.array_equal(sud_joint_masses(t, lam, cfg).masses, cold[lam - 1]), (cfg, lam)
+
+
+def test_slot_holds_at_most_a_mebibyte(monkeypatch):
+    # at the largest retained m (m0 = 0.7 m, pi0 = 0.7); an m = 70 problem
+    # streams and leaves the slot as it was
+    monkeypatch.setattr(exact, "_slot", None)
+    F = GaussianLocationCdf(1.0)
+    cases = [
+        (MixtureConfig(model="FM", m=55, m0=38, F=F), MixtureConfig(model="FM", m=70, m0=49, F=F)),
+        (MixtureConfig(model="RM", m=49, pi0=0.7, F=F), MixtureConfig(model="RM", m=70, pi0=0.7, F=F)),
+    ]
+    for cfg, big in cases:
+        fdr_sud(from_rho(LinearCurve(0.5), cfg.m), cfg.m // 2, cfg)
+        slot = exact._slot
+        tables = slot[1]
+        kernels = [K for table in tables for K in table.kernels]
+        assert all(isinstance(K, np.ndarray) and K.base is None for K in kernels)  # no batch buffer is kept
+        rows = [a for table in tables for a in (table.jumps, table.split) if a is not None]
+        held = sum(a.nbytes for a in kernels + rows)
+        assert held <= exact._slot_entries(cfg.model, cfg.m, cfg.m0) * 8 <= (1 << 17) * 8, (cfg, held)
+        fdr_sud(from_rho(LinearCurve(0.5), 70), 35, big)
+        assert exact._slot is slot
+
+
+def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
+    # started at its last step, a streamed count is its jump: points stay
+    # above with probability 1 - u, and at most one may
+    def refuse(*args):
+        raise AssertionError("_moves called")
+
+    monkeypatch.setattr(exact, "_moves", refuse)
+    m, m0 = 30, 21
+    t = from_rho(LinearCurve(0.5), m).as_array()
+    Fv = GaussianLocationCdf(1.0)(t)
+    u, v = t[-1], Fv[-1]
+    one = exact._sd_fm_masses(np.zeros(m), t, 0, start=m)
+    expected = np.zeros((m + 1, 1))
+    expected[m - 1 :, 0] = binom.pmf([1, 0], m, 1.0 - u)
+    np.testing.assert_allclose(one, expected, rtol=1e-13, atol=0.0)
+    two = exact._sd_fm_masses(t, Fv, m0, start=m)
+    expected = np.zeros((m + 1, m0 + 1))
+    expected[m - 1, m0 - 1] = binom.pmf(1, m0, 1.0 - u) * v ** (m - m0)
+    expected[m - 1, m0] = u**m0 * binom.pmf(1, m - m0, 1.0 - v)
+    expected[m, m0] = u**m0 * v ** (m - m0)
+    np.testing.assert_allclose(two, expected, rtol=1e-13, atol=0.0)
+    pi0 = 0.7
+    rm = exact._sd_rm_masses(t, Fv, pi0, start=m)
+    drop = pi0 * u + (1.0 - pi0) * v
+    null = np.arange(m + 1)
+    expected = np.zeros((m + 1, m + 1))
+    expected[m - 1] = binom.pmf(1, m, 1.0 - drop) * binom.pmf(null, m - 1, pi0 * u / drop)
+    expected[m] = binom.pmf(0, m, 1.0 - drop) * binom.pmf(null, m, pi0 * u / drop)
+    np.testing.assert_allclose(rm, expected, rtol=1e-13, atol=1e-300)
 
 
 def _dense_kernel(n: int, drop: float, stay: float) -> np.ndarray:
@@ -510,6 +628,61 @@ def test_rational_audit(alt, F):
                         rm_law[kj] = rm_law.get(kj, 0) + weight * v
                 cfg = MixtureConfig(model="RM", m=m, pi0=float(pi0), F=F)
                 assert _max_gap(sud_joint_masses(tc, lam, cfg).masses, rm_law) <= 1e-14
+
+
+def _rational_law(t: list, Fv: list, m0: int, procedure: str) -> dict:
+    """FM joint law in Fraction arithmetic for rational t_i and F(t_i) =
+    Fv[i] of a continuous F, from the exact counts of steck._rational_count."""
+    m = len(t)
+    m1 = m - m0
+    one = Fraction(1)
+    s = [one - x for x in reversed(t)]  # the reflected thresholds and F values
+    g = [one - x for x in reversed(Fv)]
+    out = {}
+    for k in range(m + 1):
+        for j in _fm_j_range(m, m0, k):
+            c = math.comb(m0, j) * math.comb(m1, k - j)
+            if procedure == "SD":
+                tk1, Fk1 = (t[k], Fv[k]) if k < m else (one, one)
+                tail = steck._rational_count(t[:k], j, Fv[:k])
+                out[(k, j)] = c * (one - tk1) ** (m0 - j) * (one - Fk1) ** (m1 - k + j) * tail
+            else:
+                tk, Fk = (t[k - 1], Fv[k - 1]) if k else (Fraction(0), one)
+                out[(k, j)] = c * tk**j * Fk ** (k - j) * steck._rational_count(s[: m - k], m0 - j, g[: m - k])
+    return out
+
+
+def test_rational_audit_gaussian():
+    # test_rational_audit's grid for gaussian mu = 1, whose F(t_i) enter the
+    # rational counts as the exact values of their floats
+    F = GaussianLocationCdf(1.0)
+    rng = np.random.default_rng(11)
+    pi0 = Fraction(3, 10)
+    for m in range(2, 7):
+        for draw in range(2):
+            t = sorted(Fraction(int(x), 16) for x in rng.integers(0, 17, m))
+            if draw:
+                t[0], t[-1] = Fraction(0), Fraction(1)
+            tc = ThresholdCollection(tuple(float(x) for x in t))
+            Fv = [Fraction(x) for x in F(tc.as_array()).tolist()]
+            for lam in range(1, m + 1):
+                cap, Fcap = t[lam - 1], Fv[lam - 1]
+                laws = []
+                for m0 in range(m + 1):
+                    su = _rational_law([min(x, cap) for x in t], [min(x, Fcap) for x in Fv], m0, "SU")
+                    sd = _rational_law([max(x, cap) for x in t], [max(x, Fcap) for x in Fv], m0, "SD")
+                    laws.append({kj: (su if kj[0] < lam else sd)[kj] for kj in su})
+                for m0, law in enumerate(laws):
+                    cfg = MixtureConfig(model="FM", m=m, m0=m0, F=F)
+                    assert sum(law.values()) == 1
+                    assert _max_gap(sud_joint_masses(tc, lam, cfg).masses, law) <= 1e-14, (t, lam, m0)
+                rm_law = {}
+                for m0, law in enumerate(laws):
+                    weight = math.comb(m, m0) * pi0**m0 * (1 - pi0) ** (m - m0)
+                    for kj, v in law.items():
+                        rm_law[kj] = rm_law.get(kj, 0) + weight * v
+                cfg = MixtureConfig(model="RM", m=m, pi0=float(pi0), F=F)
+                assert _max_gap(sud_joint_masses(tc, lam, cfg).masses, rm_law) <= 1e-14, (t, lam)
 
 
 # ---------------------------------------------------------------------------

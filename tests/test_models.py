@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from steck_reference import reflected
+from sudfdr.exact import fdr_sud
 from sudfdr.models import (
     DiracZeroCdf,
     GaussianLocationCdf,
@@ -16,6 +19,7 @@ from sudfdr.models import (
     sample_blocks,
     sample_families,
 )
+from sudfdr.thresholds import LinearCurve, from_rho
 
 # Phi(0.5) from a published high-precision normal table
 PHI_HALF = 0.6914624612740131
@@ -190,6 +194,16 @@ def test_mixture_config_validation():
 def test_mixture_config_rejects_non_integer_counts(kwargs, key):
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         MixtureConfig(F=IdentityCdf(), **kwargs)
+
+
+def test_numpy_integer_counts_give_a_json_config():
+    cfg = MixtureConfig(model="FM", m=np.int64(10), m0=np.int64(7), F=IdentityCdf())
+    assert json.loads(json.dumps(cfg.to_config())) == {"model": "FM", "m": 10, "m0": 7, "F": {"kind": "identity"}}
+    assert type(cfg.m) is int and type(cfg.m0) is int
+    rm = MixtureConfig(model="RM", m=np.int32(10), pi0=0.7, F=IdentityCdf())
+    assert json.dumps(rm.to_config()) == '{"model": "RM", "m": 10, "F": {"kind": "identity"}, "pi0": 0.7}'
+    res = fdr_sud(from_rho(LinearCurve(0.5), 10), 5, cfg)
+    assert json.loads(json.dumps(res.config)) == {**cfg.to_config(), "lambda": 5}
 
 
 def test_config_roundtrips():
