@@ -48,33 +48,28 @@ of the (n0, r) state that indexes it by (n1, r).
 
 A sweep over lambda runs many counts on one problem, (the model, m0 or pi0,
 t, F(t)), and their kernels are shared: the floored collection of order
-lambda equals t after step lambda, and the reflected capped one equals the
-reflected t after step m - lambda + 1, while the state sizes min(m - i + 1,
-m0 or m1) depend on the step i alone.  So the kernels a count needs from its
-start on are those of the same direction's count from step 1, with ties and
-with populations that do not move alike, and each count reads t and F(t)
-only from its start on, where the floor and the cap change nothing.
-sud_joint_masses keeps the step tables of the last small problem in one
+lambda equals t after step lambda, the reflected capped one equals the
+reflected t after step m - lambda + 1, and the state sizes min(m - i + 1,
+m0 or m1) depend on the step i alone.  So each count direction of a problem
+has one step source from step 1, which _steps builds (the one place that
+maps the model and SU/SD to a count layout): the state sizes, the drop and
+stay inputs of steps 2..m and the jump inputs.  A count started at step s
+takes its move flags and kernels from after(s) and its jump rows from
+jump(s), whether the source streams or retains.  A _Steps streams: after(s)
+runs _moves on the steps after s, and jump(s) builds the rows of s; a
+problem too large to retain, joint_pmf and steck.psi use it.  A _Table
+retains: it builds after(1), the jump rows of every start and, for the RM
+step-up law, the null split of every rank once, and slices them.
+sud_joint_masses keeps the two _Tables of the last small problem in one
 module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
-bytes of t and F(t)): for the step-down direction and the reflected step-up
-one, the move flags and the kernels of steps 2..m, each its own contiguous
-array, the jump rows of every start and, for the RM step-up law, the null
-split of every rank.  Both directions are built whole on a miss, and the
-count of order lambda slices them from its start on, building no kernel.
-A problem is retained when the float64 entries of its two tables, counted
-from (model, m, m0) with every population taken as moving, fit in 2^17
-(1 MiB): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
-RM, so every retained kernel is dense.  A larger problem streams its
-kernels batch by batch as above, and so do joint_pmf and steck.psi.  A miss
-replaces the slot, so alternating two small problems rebuilds both tables
-on every call (sud counterexample, 24 calls that alternate two m = 10
-problems, takes about 2 ms more per run, 10 ms in all), and a one-off call
-on a small problem builds both whole directions, about twice the kernels
-it uses.  A retained
-problem's kernels are always the same whole-direction build, so an order's
-law is the same array whether the slot was cold or warm, in any order of
-calls; it differs from the streamed count of the same order by rounding
-only, as the batches that build a kernel differ.
+bytes of t and F(t)); a miss replaces it.  A problem is retained when the
+float64 entries of its two tables, counted from (model, m, m0) with every
+population taken as moving, fit in 2^17 (1 MiB): at m0 = 0.7 m or pi0 = 0.7
+that is m <= 55 in FM and m <= 49 in RM, so every retained kernel is dense.
+A one-off call on a small problem builds both whole directions, about twice
+the kernels it uses.  A retained law is the same array whether the slot was
+cold or warm, in any order of calls; it differs from the streamed law of
+the same order by rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
@@ -354,42 +349,77 @@ class _Blocks:
         return out
 
 
-class _Table:
-    """Steps 2..m of one direction of a retained problem, as its count from
-    step 1 builds them: the move flags of each step and the dense kernels of
-    its moving populations, each copied into its own contiguous array so
-    that no batch buffer is kept (a retained problem has m < _BANDED_MIN, so
-    every kernel is dense).  `jumps` holds the jump rows of every start (see
-    _fm_jumps) of an FM-layout count, and `split` the null split of every
-    rank (see _rm_split) of the RM step-up law."""
+class _Steps:
+    """One count direction of a problem from step 1, streamed.  sizes[i - 1]
+    bounds the state of step i (the nulls and alternatives above t_i in the
+    FM layout, the points above it, twice, in the RM one); drop and stay are
+    the _moves inputs of steps 2..m.  jumps(lo, hi) builds the jump rows of
+    the starts lo + 1..hi: a binomial pair in the FM layout (see _fm_steps),
+    and in the RM one the null and alternative weights below t_start and the
+    weight above it.  split(top), of the RM step-up law only, builds the
+    null split of ranks 0..top (see _rm_split)."""
 
-    def __init__(self, moves: tuple, jumps: np.ndarray | None = None, split: np.ndarray | None = None):
-        move, kernels = moves
-        self.move = move
-        self.kernels = [K.copy() for K in kernels]
-        self.first = list(itertools.accumulate(map(sum, move), initial=0))  # kernels before each step
-        self.jumps, self.split = jumps, split
+    def __init__(self, lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, split=None):
+        self.lf, self.sizes, self.drop, self.stay, self.jumps, self.split = lf, sizes, drop, stay, jumps, split
 
     def after(self, start: int):
         """The move flags and the kernels of the steps after `start`, as _moves hands them out."""
+        if start == len(self.sizes):  # nothing moves after the last step
+            return [], iter(())
+        return _moves(self.lf, self.sizes[start:], self.drop[start - 1 :], self.stay[start - 1 :])
+
+    def jump(self, start: int):
+        return self.jumps(start - 1, start)[0]
+
+
+class _Table:
+    """A retained direction: what its _Steps hands out, built once for every
+    start and sliced from a count's start on.  The move flags and kernels of
+    steps 2..m come from one after(1), each kernel copied into its own
+    contiguous array so that no batch buffer is kept (a retained problem has
+    m < _BANDED_MIN, so every kernel is dense); `rows` holds the jump rows
+    of every start and `splits` the split of every rank (RM step-up law)."""
+
+    def __init__(self, steps: _Steps):
+        m = len(steps.sizes)
+        self.sizes = steps.sizes
+        self.move, kernels = steps.after(1)
+        self.kernels = [K.copy() for K in kernels]
+        self.first = list(itertools.accumulate(map(sum, self.move), initial=0))  # kernels before each step
+        self.rows = steps.jumps(0, m)
+        self.splits = steps.split and steps.split(m)
+
+    def after(self, start: int):
         return self.move[start - 1 :], iter(self.kernels[self.first[start - 1] :])
 
+    def jump(self, start: int):
+        return self.rows[start - 1]
 
-def _fm_moves(lf: np.ndarray, sizes: np.ndarray, v: np.ndarray):
-    """_moves of the FM count over the steps after the first row of v = (u0, u1)."""
-    return _moves(lf, sizes[1:], v[1:] - v[:-1], 1.0 - v[1:])
-
-
-def _fm_jumps(lf: np.ndarray, v: np.ndarray, m0: int, m1: int) -> np.ndarray:
-    """The jump rows of a count started at each row s of v = (u0, u1), in
-    one _binomial_rows call: [s, 0] is Bin(m0, 1 - u0) and [s, 1] is
-    Bin(m1, 1 - u1), the numbers of nulls and alternatives that stay above."""
-    logs = _log(np.array((1.0 - v, v))).reshape(2, -1)
-    return _binomial_rows(lf, np.tile((m0, m1), len(v)), *logs).reshape(len(v), 2, -1)
+    def split(self, top: int):
+        return self.splits[: top + 1, : top + 1]
 
 
-def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1, table: _Table | None = None) -> np.ndarray:
-    """Step-down count of m0 nulls and m - m0 alternatives.
+def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
+    """The FM-layout steps of m0 nulls and len(u0) - m0 alternatives, which
+    lie below the i-th threshold with probabilities u0[i-1] and u1[i-1].
+    The jump rows of start s are Bin(m0, 1 - u0[s-1]) and Bin(m - m0, 1 -
+    u1[s-1]), the nulls and alternatives that stay above, built for many
+    starts in one _binomial_rows call."""
+    m = len(u0)
+    lf = _log_factorials(max(m0, m - m0))
+    v = np.array((u0, u1)).T
+    sizes = np.minimum(np.arange(m, 0, -1)[:, None], (m0, m - m0))  # at most the points above, of each population
+
+    def jumps(lo: int, hi: int) -> np.ndarray:
+        logs = _log(np.array((1.0 - v[lo:hi], v[lo:hi]))).reshape(2, -1)
+        return _binomial_rows(lf, np.tile((m0, m - m0), hi - lo), *logs).reshape(hi - lo, 2, -1)
+
+    return _Steps(lf, sizes, v[1:] - v[:-1], 1.0 - v[1:], jumps, split)
+
+
+def _sd_fm_masses(steps, start: int = 1) -> np.ndarray:
+    """Step-down count of m0 nulls and m - m0 alternatives, on the FM-layout
+    steps of (u0, u1, m0): a _Steps of _fm_steps, or its _Table.
 
     u0[i-1] and u1[i-1] (nondecreasing in i) are the probabilities that a
     null and an alternative lie below the i-th threshold.  Returns the
@@ -403,26 +433,18 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1, table
     The count starts at step `start` with one jump of every point to
     u[start-1], and cuts the states that would have left before it; when the
     first `start` thresholds are tied this is exact for rows k >= start - 1,
-    and the rows below are left 0.  It reads u only from u[start-1] on.  Its
-    kernels and jump rows come from `table`, the retained count from step 1
-    of the same (u0, u1, m0), when one is given.
+    and the rows below are left 0.  It reads the steps from `start` on.
     """
-    m = len(u0)
-    m1 = m - m0
-    lf = _log_factorials(max(m0, m1))
-    live = np.arange(m - start + 1, 0, -1)  # every state has at most `live` points above
-    sizes = np.minimum(live[:, None], (m0, m1))  # so at most these nulls and alternatives
-    if table:
-        move, K = table.after(start)
-        P = table.jumps[start - 1]
-    else:
-        v = np.array((u0[start - 1 :], u1[start - 1 :])).T
-        move, K = _fm_moves(lf, sizes, v) if start < m else ([], iter(()))
-        P = _fm_jumps(lf, v[:1], m0, m1)[0]
+    m = len(steps.sizes)
+    m0 = int(steps.sizes[0, 0])
+    live = m - start + 1  # every state has at most `live` points above
+    sizes = steps.sizes[start - 1 :]  # so at most these nulls and alternatives
+    move, K = steps.after(start)
+    P = steps.jump(start)
     a, b = sizes[0]
     P = np.outer(P[0, : a + 1], P[1, : b + 1])
-    if a + b > live[0]:
-        P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live[0]] = 0.0
+    if a + b > live:
+        P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live] = 0.0
     out = np.zeros((m + 1, m0 + 1))
     by_r0 = out[:, ::-1]  # by_r0[k, r0] = out[k, m0 - r0]: r0 nulls above, m0 - r0 below
     for i, (a, b) in enumerate(sizes.tolist(), start):
@@ -445,20 +467,9 @@ def _sd_fm_masses(u0: np.ndarray, u1: np.ndarray, m0: int, start: int = 1, table
     return out
 
 
-def _rm_moves(lf: np.ndarray, t: np.ndarray, Fv: np.ndarray, pi0: float):
-    """_moves of the RM step-down count over the steps after t[0]: at each,
-    both populations hold the live points above; the drops are split into
-    nulls (moved in the (n1, r) layout) and alternatives."""
-    live = np.arange(len(t) - 1, 0, -1)
-    w0 = pi0 * (t[1:] - t[:-1])
-    w1 = (1.0 - pi0) * (Fv[1:] - Fv[:-1])
-    above = pi0 * (1.0 - t[1:]) + (1.0 - pi0) * (1.0 - Fv[1:])
-    return _moves(lf, live[:, None].repeat(2, axis=1), np.array((w0, w1)).T, np.array((w1 + above, above)).T)
-
-
-def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1, table: _Table | None = None) -> np.ndarray:
-    """Step-down count in RM(m, pi0, F): masses[k, j] as in _sd_fm_masses,
-    with the same jump start, the same reads and the same kernel `table`.
+def _sd_rm_masses(steps, start: int = 1) -> np.ndarray:
+    """Step-down count in RM(m, pi0, F) on its steps (see _steps): masses[k,
+    j] as in _sd_fm_masses, with the same jump start and the same reads.
 
     The state P[n0, r] holds the nulls below and the points above the
     threshold.  The points that drop below are split into nulls, moved in
@@ -467,23 +478,18 @@ def _sd_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1, tab
     sits below `pad` zero rows, and S[n1, r] = P[m - n1 - r, r] is a
     skewed view that reaches into them where n0 would be negative.
     """
-    m = len(t)
+    m = len(steps.sizes)
     lf = _log_factorials(m)
-    live = np.arange(m - start + 1, 0, -1)
-    tt, FF = t[start - 1 :], Fv[start - 1 :]
-    if table:
-        move, K = table.after(start)
-    else:
-        move, K = _rm_moves(lf, tt, FF, pi0) if start < m else ([], iter(()))
-    above = pi0 * (1.0 - tt[0]) + (1.0 - pi0) * (1.0 - FF[0])
-    pad = int(live[0])
+    move, K = steps.after(start)
+    w0, w1, above = steps.jump(start)
+    pad = m - start + 1
     Z = np.zeros((pad + m + 1, pad + 1))
     P = Z[pad:]
     row, col = Z.strides
     S = as_strided(Z[pad + m :], (m + 1, pad + 1), (-row, col - row))
     # the jump: r of the m points stay above, and n0 of the m - r that drop are nulls
-    drop = pi0 * tt[0] + (1.0 - pi0) * FF[0]
-    null, alt = (pi0 * tt[0] / drop, (1.0 - pi0) * FF[0] / drop) if drop > 0.0 else (0.0, 1.0)
+    drop = w0 + w1
+    null, alt = (w0 / drop, w1 / drop) if drop > 0.0 else (0.0, 1.0)
     # row 0: the stay row of all m points; row 1 + r: the split of m - r
     logs = _log(np.array([(above / (drop + above), drop / (drop + above))] + [(null, alt)] * (pad + 1)))
     rows = _binomial_rows(lf, np.concatenate(((m,), m - np.arange(pad + 1))), logs[:, 0], logs[:, 1])
@@ -523,36 +529,48 @@ def _rm_split(lf: np.ndarray, t: np.ndarray, Fv: np.ndarray, pi0: float) -> np.n
     return _binomial_rows(lf, np.arange(len(tk)), _log(null), _log(alt))
 
 
-def _su_rm_masses(t: np.ndarray, Fv: np.ndarray, pi0: float, start: int = 1, table: _Table | None = None) -> np.ndarray:
-    """Step-up law in RM: the count of p-values with c.d.f. G gives k, and
-    the k rejected p-values split into nulls by _rm_split.  The count leaves
-    the ranks k > m - start + 1 at 0, and the split is built only for the
-    ranks it reaches, or sliced from the split of every rank in `table`."""
+def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> _Steps:
+    """The steps of one count direction of the problem (cfg, t, F(t)), from
+    step 1: the one place that says which count a (model, procedure) runs.
+    A step-down rule is counted on t and F(t); a step-up rule on the
+    reflected 1 - p, as the FM count of the reflected probabilities, and in
+    RM as the one-population count of the p-values, of c.d.f. G, whose k
+    rejected ones are then split into nulls."""
     m = len(t)
-    top = m - start + 1
-    above = (pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))[::-1]
-    counts = _sd_fm_masses(np.zeros(m), above, 0, start, table)[::-1, 0][: top + 1]  # P(|R| = k), k = 0..top
-    split = table.split[: top + 1, : top + 1] if table else _rm_split(_log_factorials(m), t[:top], Fv[:top], pi0)
-    out = np.zeros((m + 1, m + 1))
-    np.multiply(split, counts[:, None], out=out[: top + 1, : top + 1])
-    return out
-
-
-def _masses(
-    procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, start: int = 1, table: _Table | None = None
-) -> np.ndarray:
-    """The (m + 1)^2 law of a pure step-up or step-down rule.  A step-up law
-    is the step-down count of 1 - p, read backwards, from reflected step
-    `start`.  `table` is the retained table of that direction, if any."""
+    if cfg.model == "RM" and procedure == "SD":
+        pi0 = cfg.pi0
+        # the jump inputs: the null and alternative weights below t_i, and the weight above
+        v = np.array((pi0 * t, (1.0 - pi0) * Fv, pi0 * (1.0 - t) + (1.0 - pi0) * (1.0 - Fv))).T
+        # both populations hold the live points; the drops split into nulls and alternatives
+        drop = np.array((pi0 * (t[1:] - t[:-1]), (1.0 - pi0) * (Fv[1:] - Fv[:-1]))).T
+        stay = np.array((drop[:, 1] + v[1:, 2], v[1:, 2])).T
+        sizes = np.arange(m, 0, -1)[:, None].repeat(2, axis=1)
+        return _Steps(_log_factorials(m), sizes, drop, stay, lambda lo, hi: v[lo:hi])
     if cfg.model == "RM":
-        builder = _su_rm_masses if procedure == "SU" else _sd_rm_masses
-        return builder(t, Fv, cfg.pi0, start, table)
+        above = (cfg.pi0 * (1.0 - t) + (1.0 - cfg.pi0) * (1.0 - Fv))[::-1]
+        return _fm_steps(np.zeros(m), above, 0, lambda top: _rm_split(_log_factorials(m), t[:top], Fv[:top], cfg.pi0))
     if procedure == "SD":
-        M = _sd_fm_masses(t, Fv, cfg.m0, start, table)
-    else:
-        M = _sd_fm_masses(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0, start, table)[::-1, ::-1]
+        return _fm_steps(t, Fv, cfg.m0)
+    return _fm_steps(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0)
+
+
+def _masses(procedure: str, cfg: MixtureConfig, steps, start: int = 1) -> np.ndarray:
+    """The (m + 1)^2 law of a pure step-up or step-down rule, counted from
+    step `start` of the direction's steps (a _Steps of _steps, or its
+    _Table).  A step-up law is the step-down count of 1 - p read backwards;
+    in RM that count leaves the ranks k > m - start + 1 at 0, and the split
+    is read only for the ranks it reaches."""
+    if cfg.model == "RM" and procedure == "SD":
+        return _sd_rm_masses(steps, start)
+    M = _sd_fm_masses(steps, start)
+    if cfg.model == "RM":
+        top = cfg.m - start + 1
+        split = steps.split(top)
+        out = np.zeros((cfg.m + 1, cfg.m + 1))
+        np.multiply(split, M[::-1, 0][: top + 1, None], out=out[: top + 1, : top + 1])  # times P(|R| = k)
+        return out
     out = np.zeros((cfg.m + 1, cfg.m + 1))
-    out[:, : cfg.m0 + 1] = M
+    out[:, : cfg.m0 + 1] = M if procedure == "SD" else M[::-1, ::-1]
     return out
 
 
@@ -571,45 +589,25 @@ def _slot_entries(model: str, m: int, m0: int | None) -> int:
     directions, with every population taken as moving, and their rows."""
     live = np.arange(m - 1, 0, -1)  # the points above after steps 2..m
     if model == "RM":
-        # step-down: two populations of live points; step-up: one, with the
-        # jump rows of both (the null one empty) and the split
-        return 3 * int(((live + 1) ** 2).sum()) + 2 * m * (m + 1) + (m + 1) ** 2
+        # step-down: two populations of live points, three jump inputs a
+        # step; step-up: one, the jump rows of both (the null one empty), the split
+        return 3 * int(((live + 1) ** 2).sum()) + 3 * m + 2 * m * (m + 1) + (m + 1) ** 2
     kernels = sum(int(((np.minimum(live, n) + 1) ** 2).sum()) for n in (m0, m - m0))
     return 2 * (kernels + 2 * m * (max(m0, m - m0) + 1))
 
 
-def _table(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> _Table:
-    """The table of one direction of the problem: what _masses(procedure, t,
-    Fv, cfg, start) reads, built once for every start."""
-    m = len(t)
-    if cfg.model == "RM" and procedure == "SD":
-        return _Table(_rm_moves(_log_factorials(m), t, Fv, cfg.pi0))
-    split = None
-    if cfg.model == "RM":  # the one-population count of _su_rm_masses
-        m0, u0, u1 = 0, np.zeros(m), (cfg.pi0 * (1.0 - t) + (1.0 - cfg.pi0) * (1.0 - Fv))[::-1]
-        split = _rm_split(_log_factorials(m), t, Fv, cfg.pi0)
-    elif procedure == "SD":
-        m0, u0, u1 = cfg.m0, t, Fv
-    else:
-        m0, u0, u1 = cfg.m0, 1.0 - t[::-1], 1.0 - Fv[::-1]
-    lf = _log_factorials(max(m0, m - m0))
-    v = np.array((u0, u1)).T
-    sizes = np.minimum(np.arange(m, 0, -1)[:, None], (m0, m - m0))
-    return _Table(_fm_moves(lf, sizes, v), _fm_jumps(lf, v, m0, m - m0), split)
-
-
 def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> tuple:
-    """The (step-down, step-up) tables of the problem (cfg, t, F(t)) from
-    the slot, both built whole on a miss; (None, None) for a problem too
-    large to retain, whose counts stream their kernels."""
+    """The (step-down, step-up) steps of the problem (cfg, t, F(t)): for a
+    small problem the _Tables in the slot, both built whole on a miss; for
+    one too large to retain, the _Steps that stream their kernels."""
     global _slot
     if _slot_entries(cfg.model, len(t), cfg.m0) > _SLOT_ENTRIES:
-        return None, None
+        return _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
     key = (cfg.model, cfg.m0 if cfg.model == "FM" else cfg.pi0, t.tobytes(), Fv.tobytes())
     slot = _slot
     if slot is None or slot[0] != key:
         _slot = slot = None  # free the old problem's tables before building the new ones
-        slot = _slot = key, (_table("SD", t, Fv, cfg), _table("SU", t, Fv, cfg))
+        slot = _slot = key, (_Table(_steps("SD", t, Fv, cfg)), _Table(_steps("SU", t, Fv, cfg)))
     return slot[1]
 
 
@@ -621,7 +619,7 @@ def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> Joi
     if procedure not in ("SU", "SD"):
         raise ValueError(f"procedure must be 'SU' or 'SD', got {procedure!r}")
     arr = t.as_array()
-    return JointPmf(_masses(procedure, arr, cfg.F(arr), cfg))
+    return JointPmf(_masses(procedure, cfg, _steps(procedure, arr, cfg.F(arr), cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +648,8 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     arr = t.as_array()
     Fv = cfg.F(arr)
     sd, su = _tables(arr, Fv, cfg)
-    masses = _masses("SD", arr, Fv, cfg, lam, sd)
-    masses[:lam] = _masses("SU", arr, Fv, cfg, m - lam + 1, su)[:lam]
+    masses = _masses("SD", cfg, sd, lam)
+    masses[:lam] = _masses("SU", cfg, su, m - lam + 1)[:lam]
     return JointPmf(masses)
 
 
@@ -683,7 +681,7 @@ def _fdp(k: np.ndarray, j: np.ndarray) -> np.ndarray:
 def fdr_sud(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> FdrResult:
     """Exact FDR of the order-lambda SUD procedure in the model cfg."""
     su, sd = _expect(t, lam, cfg, lambda k, j: (_fdp(k, j), k >= lam), 2)
-    return FdrResult(su, sd, cfg, lam)
+    return FdrResult(su, sd, cfg, _as_int(lam, "lambda"))
 
 
 def fdr_sud_fm(t: ThresholdCollection, lam: int, m0: int, F: AlternativeCdf) -> FdrResult:

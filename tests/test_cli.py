@@ -114,6 +114,43 @@ def test_counterexample_passes(capsys):
     assert sum("[OK]" in line for line in out.splitlines()) == 8
 
 
+_COUNTEREXAMPLE = """\
+sudfdr {version} counterexample check: m=10, alpha=0.5
+FM lambda= 1: uniform=0.2808841425 point_mass_zero=0.3298504636 [context]
+FM lambda= 4: uniform=0.3429808435 point_mass_zero=0.3298504636 [OK]
+FM lambda= 5: uniform=0.3466848373 point_mass_zero=0.3361279355 [OK]
+FM lambda= 6: uniform=0.3485612602 point_mass_zero=0.3424511178 [OK]
+FM lambda= 7: uniform=0.3494611262 point_mass_zero=0.3467169451 [OK]
+FM lambda=10: uniform=0.3500000000 point_mass_zero=0.3500000000 [context]
+RM lambda= 1: uniform=0.2808841425 point_mass_zero=0.3241637939 [context]
+RM lambda= 4: uniform=0.3429808435 point_mass_zero=0.3340604416 [OK]
+RM lambda= 5: uniform=0.3466848373 point_mass_zero=0.3391610413 [OK]
+RM lambda= 6: uniform=0.3485612602 point_mass_zero=0.3436398259 [OK]
+RM lambda= 7: uniform=0.3494611262 point_mass_zero=0.3469299843 [OK]
+RM lambda=10: uniform=0.3500000000 point_mass_zero=0.3500000000 [context]
+PASS
+"""
+
+
+def test_counterexample_fills_the_slot_once_per_problem(monkeypatch, capsys):
+    # the six orders of each (model, F) problem run together, so its two
+    # step tables are built once; the lines are those of the orders run
+    # with the alternatives in alternation
+    tables = []
+    table = exact._Table
+
+    def counting(steps):
+        tables.append(steps)
+        return table(steps)
+
+    monkeypatch.setattr(exact, "_Table", counting)
+    monkeypatch.setattr(exact, "_slot", None)
+    code, out, _ = _run(capsys, "counterexample")
+    assert code == EXIT_OK
+    assert out == _COUNTEREXAMPLE.format(version=__version__)
+    assert len(tables) <= 2 * 4  # two directions per fill, four problems
+
+
 def test_counterexample_out_file(tmp_path, capsys):
     dest = tmp_path / "check.txt"
     code, out, _ = _run(capsys, "counterexample", "--out", str(dest))

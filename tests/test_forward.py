@@ -392,6 +392,27 @@ def test_cold_and_warm_slots_give_equal_laws(monkeypatch, F, tied):
                 assert np.array_equal(sud_joint_masses(t, lam, cfg).masses, cold[lam - 1]), (cfg, lam)
 
 
+@pytest.mark.parametrize("m", [30, 49])
+def test_retained_and_streamed_laws_agree(monkeypatch, m):
+    # every problem here is retained; with no room in the slot each streams
+    # its kernels batch by batch instead, which moves a law by rounding only
+    Fs = (IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf())
+    cfgs = [MixtureConfig(model="FM", m=m, m0=m0, F=F) for F in Fs for m0 in (0, 7 * m // 10, m)]
+    cfgs += [MixtureConfig(model="RM", m=m, pi0=pi0, F=F) for F in Fs for pi0 in (0.7, 1.0)]
+    ts = (from_rho(LinearCurve(0.5), m), _tied_thresholds(m))
+    cases = [(t, cfg, lam) for t in ts for cfg in cfgs for lam in range(1, m + 1)]
+    retained = []
+    for t, cfg, lam in cases:
+        retained.append(sud_joint_masses(t, lam, cfg).masses)
+        assert exact._slot is not None and exact._slot[0][2] == t.as_array().tobytes(), cfg
+    monkeypatch.setattr(exact, "_SLOT_ENTRIES", 0)
+    monkeypatch.setattr(exact, "_slot", None)
+    for (t, cfg, lam), law in zip(cases, retained):
+        gap = np.max(np.abs(sud_joint_masses(t, lam, cfg).masses - law))
+        assert gap <= 1e-15, (cfg, lam, gap)
+    assert exact._slot is None
+
+
 def test_slot_holds_at_most_a_mebibyte(monkeypatch):
     # at the largest retained m (m0 = 0.7 m, pi0 = 0.7); an m = 70 problem
     # streams and leaves the slot as it was
@@ -407,7 +428,7 @@ def test_slot_holds_at_most_a_mebibyte(monkeypatch):
         tables = slot[1]
         kernels = [K for table in tables for K in table.kernels]
         assert all(isinstance(K, np.ndarray) and K.base is None for K in kernels)  # no batch buffer is kept
-        rows = [a for table in tables for a in (table.jumps, table.split) if a is not None]
+        rows = [a for table in tables for a in (table.rows, table.splits) if a is not None]
         held = sum(a.nbytes for a in kernels + rows)
         assert held <= exact._slot_entries(cfg.model, cfg.m, cfg.m0) * 8 <= (1 << 17) * 8, (cfg, held)
         fdr_sud(from_rho(LinearCurve(0.5), 70), 35, big)
@@ -425,18 +446,18 @@ def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
     t = from_rho(LinearCurve(0.5), m).as_array()
     Fv = GaussianLocationCdf(1.0)(t)
     u, v = t[-1], Fv[-1]
-    one = exact._sd_fm_masses(np.zeros(m), t, 0, start=m)
+    one = exact._sd_fm_masses(exact._fm_steps(np.zeros(m), t, 0), start=m)
     expected = np.zeros((m + 1, 1))
     expected[m - 1 :, 0] = binom.pmf([1, 0], m, 1.0 - u)
     np.testing.assert_allclose(one, expected, rtol=1e-13, atol=0.0)
-    two = exact._sd_fm_masses(t, Fv, m0, start=m)
+    two = exact._sd_fm_masses(exact._fm_steps(t, Fv, m0), start=m)
     expected = np.zeros((m + 1, m0 + 1))
     expected[m - 1, m0 - 1] = binom.pmf(1, m0, 1.0 - u) * v ** (m - m0)
     expected[m - 1, m0] = u**m0 * binom.pmf(1, m - m0, 1.0 - v)
     expected[m, m0] = u**m0 * v ** (m - m0)
     np.testing.assert_allclose(two, expected, rtol=1e-13, atol=0.0)
     pi0 = 0.7
-    rm = exact._sd_rm_masses(t, Fv, pi0, start=m)
+    rm = exact._sd_rm_masses(exact._steps("SD", t, Fv, MixtureConfig(model="RM", m=m, pi0=pi0, F=GaussianLocationCdf(1.0))), start=m)
     drop = pi0 * u + (1.0 - pi0) * v
     null = np.arange(m + 1)
     expected = np.zeros((m + 1, m + 1))

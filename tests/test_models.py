@@ -202,8 +202,10 @@ def test_numpy_integer_counts_give_a_json_config():
     assert type(cfg.m) is int and type(cfg.m0) is int
     rm = MixtureConfig(model="RM", m=np.int32(10), pi0=0.7, F=IdentityCdf())
     assert json.dumps(rm.to_config()) == '{"model": "RM", "m": 10, "F": {"kind": "identity"}, "pi0": 0.7}'
-    res = fdr_sud(from_rho(LinearCurve(0.5), 10), 5, cfg)
-    assert json.loads(json.dumps(res.config)) == {**cfg.to_config(), "lambda": 5}
+    for lam in (5, np.int64(5)):
+        res = fdr_sud(from_rho(LinearCurve(0.5), 10), lam, cfg)
+        assert json.loads(json.dumps(res.config)) == {**cfg.to_config(), "lambda": 5}
+        assert type(res.lam) is int
 
 
 def test_config_roundtrips():
