@@ -42,34 +42,38 @@ populations are built in one batched expression of at most 2^14 entries
 among them, and each batch is used up before the next is built.  Each
 state move is a view of the state times the next kernel: the FM state
 P[r0, r1] moves as P @ K (alternatives) and (P.T @ K).T (nulls), and is
-made C-contiguous for the strided slice that reads and clears each exit
-anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
+written back into one C-contiguous buffer, for the strided slice that reads
+and clears each exit anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
 of the (n0, r) state that indexes it by (n1, r).
 
 A sweep over lambda runs many counts on one problem, (the model, m0 or pi0,
-t, F(t)), and their kernels are shared: the floored collection of order
+t, F(t)), and they share their steps: the floored collection of order
 lambda equals t after step lambda, the reflected capped one equals the
 reflected t after step m - lambda + 1, and the state sizes min(m - i + 1,
 m0 or m1) depend on the step i alone.  So each count direction of a problem
 has one step source from step 1, which _steps builds (the one place that
 maps the model and SU/SD to a count layout): the state sizes, the drop and
-stay inputs of steps 2..m and the jump inputs.  A count started at step s
-takes its move flags and kernels from after(s) and its jump rows from
-jump(s), whether the source streams or retains.  A _Steps streams: after(s)
-runs _moves on the steps after s, and jump(s) builds the rows of s; a
-problem too large to retain, joint_pmf and steck.psi use it.  A _Table
-retains: it builds after(1), the jump rows of every start and, for the RM
-step-up law, the null split of every rank once, and slices them.
+stay inputs of steps 2..m and the jump inputs.  A count runs a contiguous
+range of starts lo..hi as one stack, on the kernels of the steps after lo:
+at step i the states of the starts before i move together, one batched
+matmul per population, start i joins with its jump, and one strided read
+takes and clears every start's exit anti-diagonal.  It returns the exit
+table of each start s, its rows k >= s - 1.  A _Steps streams: exits(s)
+counts the one start s, for a problem too large to retain, joint_pmf and
+steck.psi.  A _Table retains: it counts the starts 1..m once and keeps each
+start's exit table and, for the RM step-up law, the null split of every
+rank, so an order reads its two starts' tables and counts nothing.
 sud_joint_masses keeps the two _Tables of the last small problem in one
 module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
 bytes of t and F(t)); a miss replaces it.  A problem is retained when the
-float64 entries of its two tables, counted from (model, m, m0) with every
-population taken as moving, fit in 2^17 (1 MiB): at m0 = 0.7 m or pi0 = 0.7
-that is m <= 55 in FM and m <= 49 in RM, so every retained kernel is dense.
-A one-off call on a small problem builds both whole directions, about twice
-the kernels it uses.  A retained law is the same array whether the slot was
-cold or warm, in any order of calls; it differs from the streamed law of
-the same order by rounding only, as the batches that build a kernel differ.
+float64 entries of its two tables, counted from (model, m, m0), fit in 2^17
+(1 MiB): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
+RM, so every retained kernel is dense.  A cold call on a small problem
+counts every start of both directions, which costs a few one-order calls
+(about 2x at m = 30), so a sweep gains from its third order or so on.  A
+retained law is the same array whether the slot was cold or warm, in any
+order of calls; it differs from the streamed law of the same order by
+rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
@@ -331,8 +335,9 @@ class _Blocks:
     """A kernel K with band w, held as its diagonal blocks B[j] = K[jw : jw +
     2w, jw : jw + w] (strided views of its batch).  It defines one product,
     X @ K, as one batched matmul over the blocks: column block j of X @ K is
-    X[:, jw : jw + 2w] @ B[j], with X copied into a buffer padded with zero
-    columns, so X may be narrower than K or carry extra zero columns."""
+    X[..., jw : jw + 2w] @ B[j], with X copied into a buffer padded with zero
+    columns, so X may be narrower than K or carry extra zero columns, and
+    may be a stack of matrices."""
 
     __array_ufunc__ = None  # ndarray @ _Blocks defers to _Blocks.__rmatmul__
 
@@ -341,11 +346,13 @@ class _Blocks:
 
     def __rmatmul__(self, X: np.ndarray) -> np.ndarray:  # X @ K
         blocks, h, w = self.B.shape
-        r, c = X.shape[0], (blocks + 1) * w
-        Xp = np.zeros((r, c))
-        Xp[:, : X.shape[1]] = X
-        out = np.empty((r, blocks * w))
-        np.matmul(np.ndarray((blocks, r, h), float, Xp, 0, (8 * w, 8 * c, 8)), self.B, out=out.reshape(r, blocks, w).transpose(1, 0, 2))
+        *stack, r = X.shape[:-1]
+        c = (blocks + 1) * w
+        Xp = np.zeros((*stack, r, c))
+        Xp[..., : X.shape[-1]] = X
+        out = np.empty((*stack, r, blocks * w))
+        view = np.ndarray((*stack, blocks, r, h), float, Xp, 0, (*Xp.strides[:-2], 8 * w, 8 * c, 8))
+        np.matmul(view, self.B, out=out.reshape(*stack, r, blocks, w).swapaxes(-3, -2))
         return out
 
 
@@ -353,14 +360,17 @@ class _Steps:
     """One count direction of a problem from step 1, streamed.  sizes[i - 1]
     bounds the state of step i (the nulls and alternatives above t_i in the
     FM layout, the points above it, twice, in the RM one); drop and stay are
-    the _moves inputs of steps 2..m.  jumps(lo, hi) builds the jump rows of
-    the starts lo + 1..hi: a binomial pair in the FM layout (see _fm_steps),
-    and in the RM one the null and alternative weights below t_start and the
-    weight above it.  split(top), of the RM step-up law only, builds the
-    null split of ranks 0..top (see _rm_split)."""
+    the _moves inputs of steps 2..m.  jumps(lo, hi) builds the jump inputs
+    of the starts lo + 1..hi: a binomial pair in the FM layout (see
+    _fm_steps), and in the RM one the null and alternative weights below
+    t_start and the weight above it.  count is the count of its layout,
+    _sd_fm_masses or _sd_rm_masses, and exits(start) runs it for the one
+    start.  split(top), of the RM step-up law only, builds the null split of
+    ranks 0..top (see _rm_split)."""
 
-    def __init__(self, lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, split=None):
-        self.lf, self.sizes, self.drop, self.stay, self.jumps, self.split = lf, sizes, drop, stay, jumps, split
+    def __init__(self, lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, count, split=None):
+        self.lf, self.sizes, self.drop, self.stay = lf, sizes, drop, stay
+        self.jumps, self.count, self.split = jumps, count, split
 
     def after(self, start: int):
         """The move flags and the kernels of the steps after `start`, as _moves hands them out."""
@@ -368,32 +378,22 @@ class _Steps:
             return [], iter(())
         return _moves(self.lf, self.sizes[start:], self.drop[start - 1 :], self.stay[start - 1 :])
 
-    def jump(self, start: int):
-        return self.jumps(start - 1, start)[0]
+    def exits(self, start: int) -> np.ndarray:
+        return self.count(self, start)
 
 
 class _Table:
-    """A retained direction: what its _Steps hands out, built once for every
-    start and sliced from a count's start on.  The move flags and kernels of
-    steps 2..m come from one after(1), each kernel copied into its own
-    contiguous array so that no batch buffer is kept (a retained problem has
-    m < _BANDED_MIN, so every kernel is dense); `rows` holds the jump rows
-    of every start and `splits` the split of every rank (RM step-up law)."""
+    """A retained direction: the exit table of every start, from one count
+    of the starts 1..m, each a view of its rows of the count's table, and
+    for the RM step-up law the split of every rank."""
 
     def __init__(self, steps: _Steps):
         m = len(steps.sizes)
-        self.sizes = steps.sizes
-        self.move, kernels = steps.after(1)
-        self.kernels = [K.copy() for K in kernels]
-        self.first = list(itertools.accumulate(map(sum, self.move), initial=0))  # kernels before each step
-        self.rows = steps.jumps(0, m)
+        self.tables = np.split(steps.count(steps, 1, m), np.arange(m + 1, 2, -1).cumsum())  # start s has m - s + 2 rows
         self.splits = steps.split and steps.split(m)
 
-    def after(self, start: int):
-        return self.move[start - 1 :], iter(self.kernels[self.first[start - 1] :])
-
-    def jump(self, start: int):
-        return self.rows[start - 1]
+    def exits(self, start: int) -> np.ndarray:
+        return self.tables[start - 1]
 
     def split(self, top: int):
         return self.splits[: top + 1, : top + 1]
@@ -414,100 +414,135 @@ def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
         logs = _log(np.array((1.0 - v[lo:hi], v[lo:hi]))).reshape(2, -1)
         return _binomial_rows(lf, np.tile((m0, m - m0), hi - lo), *logs).reshape(hi - lo, 2, -1)
 
-    return _Steps(lf, sizes, v[1:] - v[:-1], 1.0 - v[1:], jumps, split)
+    return _Steps(lf, sizes, v[1:] - v[:-1], 1.0 - v[1:], jumps, _sd_fm_masses, split)
 
 
-def _sd_fm_masses(steps, start: int = 1) -> np.ndarray:
-    """Step-down count of m0 nulls and m - m0 alternatives, on the FM-layout
-    steps of (u0, u1, m0): a _Steps of _fm_steps, or its _Table.
+def _exit_rows(m: int, lo: int, hi: int) -> np.ndarray:
+    """The row of rank 0 of each start lo..hi in the table that stacks their
+    exit tables: start s holds the m - s + 2 ranks k = s - 1..m, so its rank
+    k is row base[s - lo] + k."""
+    s = np.arange(lo, hi + 1)
+    return (m + 2 - s).cumsum() - (m + 2 - s) - (s - 1)
+
+
+def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarray:
+    """Step-down counts of m0 nulls and m - m0 alternatives on the FM-layout
+    steps of (u0, u1, m0) (see _fm_steps), one from each start lo..hi (hi =
+    lo by default).
 
     u0[i-1] and u1[i-1] (nondecreasing in i) are the probabilities that a
-    null and an alternative lie below the i-th threshold.  Returns the
-    (m + 1, m0 + 1) table M[k, j] = P(the first i with fewer than i points
-    below is k + 1, and j nulls lie below it), with k = m when there is no
-    such i.  The state P[r0, r1] holds the nulls and alternatives still
-    above the threshold.  With m0 = 0 (and u0 = 0) it is the one-population
-    count of m points below t_i with probability u1[i-1]: its state is the
-    one row P[0, r], and M[:, 0] is its exit law.
+    null and an alternative lie below the i-th threshold.  The count from
+    step 1 is the (m + 1, m0 + 1) table M[k, j] = P(the first i with fewer
+    than i points below is k + 1, and j nulls lie below it), with k = m when
+    there is no such i.  The state P[r0, r1] holds the nulls and
+    alternatives still above the threshold.  With m0 = 0 (and u0 = 0) it is
+    the one-population count of m points below t_i with probability
+    u1[i-1]: its state is the one row P[0, r], and M[:, 0] is its exit law.
 
-    The count starts at step `start` with one jump of every point to
-    u[start-1], and cuts the states that would have left before it; when the
-    first `start` thresholds are tied this is exact for rows k >= start - 1,
-    and the rows below are left 0.  It reads the steps from `start` on.
+    The count from step s starts there with one jump of every point to
+    u[s-1], and cuts the states that would have left before it; when the
+    first s thresholds are tied this is exact for the rows k >= s - 1, the
+    only rows it returns.  The starts run as one stack of states: at step i
+    those of the starts before i move together, one batched matmul per
+    population, start i joins with its jump, and one strided read takes and
+    clears the exit anti-diagonal of every state.  The returned table stacks
+    the rows k >= s - 1 of each start s (see _exit_rows); from the one start
+    1 it is the whole M.
     """
+    hi = lo if hi is None else hi
     m = len(steps.sizes)
     m0 = int(steps.sizes[0, 0])
-    live = m - start + 1  # every state has at most `live` points above
-    sizes = steps.sizes[start - 1 :]  # so at most these nulls and alternatives
-    move, K = steps.after(start)
-    P = steps.jump(start)
-    a, b = sizes[0]
-    P = np.outer(P[0, : a + 1], P[1, : b + 1])
-    if a + b > live:
-        P[np.add.outer(np.arange(a + 1), np.arange(b + 1)) > live] = 0.0
-    out = np.zeros((m + 1, m0 + 1))
-    by_r0 = out[:, ::-1]  # by_r0[k, r0] = out[k, m0 - r0]: r0 nulls above, m0 - r0 below
-    for i, (a, b) in enumerate(sizes.tolist(), start):
+    move, K = steps.after(lo)
+    # every start's state holds its jump from the outset, cut to the states
+    # with at most m - start + 1 points above: until its step (when it
+    # joins), no move or read reaches it
+    A, B = steps.sizes[lo - 1] + 1
+    jumps = steps.jumps(lo - 1, hi)
+    P = jumps[:, 0, :A, None] * jumps[:, 1, None, :B]
+    live = m + 1 - np.arange(lo, hi + 1)
+    if A + B - 2 > live[-1]:
+        P[np.add.outer(np.arange(A), np.arange(B)) > live[:, None, None]] = 0.0
+    base = _exit_rows(m, lo, hi)
+    out = np.zeros((int(base[-1]) + m + 1, m0 + 1))
+    by_r0 = out[:, ::-1]  # by_r0[., r0] = out[., m0 - r0]: r0 nulls above, m0 - r0 below
+    flat = P.reshape(len(P), -1)
+    for i, (a, b) in enumerate(steps.sizes[lo - 1 :].tolist(), lo):
         L = m - i + 1
-        if i > start:
-            move0, move1 = move[i - start - 1]
-            if move0:
-                P = (P[: a + 1, : b + 1].T @ next(K)).T
+        n = min(i, hi + 1) - lo  # the starts before i
+        if n:
+            X = P[:n, : a + 1, : b + 1]
+            move0, move1 = move[i - lo - 1]
+            if move0:  # a banded kernel's product may carry extra zero rows and columns
+                X = (X.transpose(0, 2, 1) @ next(K)).transpose(0, 2, 1)[:, : a + 1]
             if move1:
-                P = P[: a + 1, : b + 1] @ next(K)
-            P = np.ascontiguousarray(P)
+                X = (X @ next(K))[:, :, : b + 1]
+            if move0 or move1:
+                P[:n, : a + 1, : b + 1] = X
+        n += i <= hi  # and start i, at its jump
         # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i),
-        # r0 = L - b..a, leaves; P is C-contiguous and may carry extra zero
-        # rows and columns, so cell (r0, L - r0) sits at flat L + r0 (c - 1)
-        c = P.shape[1] - 1
-        exits = P.ravel()[L + (L - b) * c : L + a * c + 1 : c or 1]
-        by_r0[i - 1, L - b : a + 1] = exits
+        # r0 = L - b..a, leaves; cell (r0, L - r0) sits at flat L + r0 (B - 1)
+        exits = flat[:n, L + (L - b) * (B - 1) : L + a * (B - 1) + 1 : B - 1 or 1]
+        by_r0[base[:n] + i - 1, L - b : a + 1] = exits
         exits.fill(0.0)
-    out[m, m0] = P[0, 0]
+    out[base + m, m0] = P[:, 0, 0]
     return out
 
 
-def _sd_rm_masses(steps, start: int = 1) -> np.ndarray:
-    """Step-down count in RM(m, pi0, F) on its steps (see _steps): masses[k,
-    j] as in _sd_fm_masses, with the same jump start and the same reads.
+def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarray:
+    """Step-down counts in RM(m, pi0, F) on its steps (see _steps), one from
+    each start lo..hi: masses[k, j] as in _sd_fm_masses, with the same jump
+    starts, the same stack and the same rows.
 
     The state P[n0, r] holds the nulls below and the points above the
     threshold.  The points that drop below are split into nulls, moved in
     the (n1, r) layout where n1 = m - n0 - r stays fixed, and alternatives,
-    moved in the (n0, r) layout.  Both layouts are views of one buffer: P
-    sits below `pad` zero rows, and S[n1, r] = P[m - n1 - r, r] is a
-    skewed view that reaches into them where n0 would be negative.
+    moved in the (n0, r) layout.  Both layouts are views of one buffer per
+    start: P sits below `pad` zero rows, and S[n1, r] = P[m - n1 - r, r] is
+    a skewed view that reaches into them where n0 would be negative.
     """
+    hi = lo if hi is None else hi
     m = len(steps.sizes)
-    lf = _log_factorials(m)
-    move, K = steps.after(start)
-    w0, w1, above = steps.jump(start)
-    pad = m - start + 1
-    Z = np.zeros((pad + m + 1, pad + 1))
-    P = Z[pad:]
-    row, col = Z.strides
-    S = as_strided(Z[pad + m :], (m + 1, pad + 1), (-row, col - row))
-    # the jump: r of the m points stay above, and n0 of the m - r that drop are nulls
+    move, K = steps.after(lo)
+    pad = m - lo + 1
+    Z = np.zeros((hi - lo + 1, pad + m + 1, pad + 1))
+    P = Z[:, pad:]
+    row, col = Z.strides[1:]
+    S = as_strided(Z[:, pad + m :], (len(Z), m + 1, pad + 1), (Z.strides[0], -row, col - row))
+    # the jumps: r of the m points stay above, and n0 of the m - r that drop
+    # are nulls.  Start s has m - s + 3 rows q, in one _binomial_rows call:
+    # q = 0 is the stay row of all m points, q = 1 + r the split of m - r.
+    # Each start's state holds its jump from the outset, as in _sd_fm_masses.
+    w0, w1, above = steps.jumps(lo - 1, hi).T
     drop = w0 + w1
-    null, alt = (w0 / drop, w1 / drop) if drop > 0.0 else (0.0, 1.0)
-    # row 0: the stay row of all m points; row 1 + r: the split of m - r
-    logs = _log(np.array([(above / (drop + above), drop / (drop + above))] + [(null, alt)] * (pad + 1)))
-    rows = _binomial_rows(lf, np.concatenate(((m,), m - np.arange(pad + 1))), logs[:, 0], logs[:, 1])
-    P[...] = np.multiply(rows[1:], rows[0, : pad + 1, None], out=rows[1:]).T
-    del rows
-    out = np.zeros((m + 1, m + 1))
-    for i in range(start, m + 1):
+    hit = drop > 0.0
+    null = np.divide(w0, drop, out=np.zeros(len(drop)), where=hit)
+    alt = np.divide(w1, drop, out=np.ones(len(drop)), where=hit)
+    logs = _log(np.array((above / (drop + above), drop / (drop + above), null, alt)))
+    size = m + 3 - np.arange(lo, hi + 1)
+    first = size.cumsum() - size
+    q = np.arange(int(size.sum())) - first.repeat(size)
+    logs = np.where(q == 0, logs[:2].repeat(size, axis=1), logs[2:].repeat(size, axis=1))
+    rows = _binomial_rows(_log_factorials(m), m - np.maximum(q - 1, 0), *logs)
+    for n, (f, L) in enumerate(zip(first.tolist(), range(pad, pad - len(Z), -1))):
+        jump = rows[f : f + L + 2]
+        P[n, :, : L + 1] = np.multiply(jump[1:], jump[0, : L + 1, None], out=jump[1:]).T
+    del rows, jump
+    base = _exit_rows(m, lo, hi)
+    out = np.zeros((int(base[-1]) + m + 1, m + 1))
+    for i in range(lo, m + 1):
         L = m - i + 1
-        if i > start:
-            move0, move1 = move[i - start - 1]
+        n = min(i, hi + 1) - lo  # the starts before i
+        if n:
+            move0, move1 = move[i - lo - 1]
             if move0:
-                shear = S[:, : L + 1]
-                shear[...] = (shear @ next(K))[:, : L + 1]
+                shear = S[:n, :, : L + 1]
+                shear[...] = (shear @ next(K))[:, :, : L + 1]
             if move1:
-                P[:, : L + 1] = (P[:, : L + 1] @ next(K))[:, : L + 1]
-        out[i - 1] = P[:, L]
-        P[:, L] = 0.0
-    out[m] = P[:, 0]
+                P[:n, :, : L + 1] = (P[:n, :, : L + 1] @ next(K))[:, :, : L + 1]
+        n += i <= hi  # and start i, at its jump
+        out[base[:n] + i - 1] = P[:n, :, L]
+        P[:n, :, L] = 0.0
+    out[base + m] = P[:, :, 0]
     return out
 
 
@@ -545,7 +580,7 @@ def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) ->
         drop = np.array((pi0 * (t[1:] - t[:-1]), (1.0 - pi0) * (Fv[1:] - Fv[:-1]))).T
         stay = np.array((drop[:, 1] + v[1:, 2], v[1:, 2])).T
         sizes = np.arange(m, 0, -1)[:, None].repeat(2, axis=1)
-        return _Steps(_log_factorials(m), sizes, drop, stay, lambda lo, hi: v[lo:hi])
+        return _Steps(_log_factorials(m), sizes, drop, stay, lambda lo, hi: v[lo:hi], _sd_rm_masses)
     if cfg.model == "RM":
         above = (cfg.pi0 * (1.0 - t) + (1.0 - cfg.pi0) * (1.0 - Fv))[::-1]
         return _fm_steps(np.zeros(m), above, 0, lambda top: _rm_split(_log_factorials(m), t[:top], Fv[:top], cfg.pi0))
@@ -554,23 +589,21 @@ def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) ->
     return _fm_steps(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0)
 
 
-def _masses(procedure: str, cfg: MixtureConfig, steps, start: int = 1) -> np.ndarray:
-    """The (m + 1)^2 law of a pure step-up or step-down rule, counted from
-    step `start` of the direction's steps (a _Steps of _steps, or its
-    _Table).  A step-up law is the step-down count of 1 - p read backwards;
-    in RM that count leaves the ranks k > m - start + 1 at 0, and the split
-    is read only for the ranks it reaches."""
-    if cfg.model == "RM" and procedure == "SD":
-        return _sd_rm_masses(steps, start)
-    M = _sd_fm_masses(steps, start)
-    if cfg.model == "RM":
-        top = cfg.m - start + 1
-        split = steps.split(top)
-        out = np.zeros((cfg.m + 1, cfg.m + 1))
-        np.multiply(split, M[::-1, 0][: top + 1, None], out=out[: top + 1, : top + 1])  # times P(|R| = k)
-        return out
+def _masses(procedure: str, cfg: MixtureConfig, source, start: int = 1) -> np.ndarray:
+    """The (m + 1)^2 law of a pure step-up or step-down rule, from the exit
+    table of the count that starts at step `start` of the direction (its
+    ranks k >= start - 1): a _Steps of _steps counts it, its _Table reads
+    it.  A step-up law is the step-down count of 1 - p read backwards, so
+    its ranks are 0..m - start + 1; in RM the split is read only for them."""
+    M = source.exits(start)
+    top = cfg.m - start + 1
     out = np.zeros((cfg.m + 1, cfg.m + 1))
-    out[:, : cfg.m0 + 1] = M if procedure == "SD" else M[::-1, ::-1]
+    if cfg.model == "RM" and procedure == "SU":
+        np.multiply(source.split(top), M[::-1, 0, None], out=out[: top + 1, : top + 1])  # times P(|R| = k)
+    elif procedure == "SD":
+        out[start - 1 :, : M.shape[1]] = M
+    else:
+        out[: top + 1, : M.shape[1]] = M[::-1, ::-1]
     return out
 
 
@@ -582,24 +615,24 @@ _SLOT_ENTRIES = 1 << 17  # float64 entries the slot may hold: 1 MiB
 _slot = None  # (key, (step-down table, step-up table)) of the last retained problem, or None
 
 
-@functools.cache
 def _slot_entries(model: str, m: int, m0: int | None) -> int:
-    """The float64 entries the two tables of a problem hold at most, from
-    (model, m, m0) alone: the dense kernels of steps 2..m of both
-    directions, with every population taken as moving, and their rows."""
-    live = np.arange(m - 1, 0, -1)  # the points above after steps 2..m
-    if model == "RM":
-        # step-down: two populations of live points, three jump inputs a
-        # step; step-up: one, the jump rows of both (the null one empty), the split
-        return 3 * int(((live + 1) ** 2).sum()) + 3 * m + 2 * m * (m + 1) + (m + 1) ** 2
-    kernels = sum(int(((np.minimum(live, n) + 1) ** 2).sum()) for n in (m0, m - m0))
-    return 2 * (kernels + 2 * m * (max(m0, m - m0) + 1))
+    """The float64 entries the two _Tables of a problem hold at most, from
+    (model, m, m0) alone: in each direction the exit table of every start s,
+    its m - s + 2 rows k >= s - 1, m (m + 3) / 2 rows in all, and in RM the
+    step-up split of every rank.  Each table is counted as wide as the
+    larger population, m + 1 columns in RM (the step-up table has 1) and
+    max(m0, m - m0) + 1 in FM (both have m0 + 1): counting every start costs
+    with the states, not with the tables, so a problem with narrow tables is
+    retained no further in m than one with wide ones."""
+    width = m + 1 if model == "RM" else max(m0, m - m0) + 1
+    return m * (m + 3) * width + (model == "RM") * (m + 1) ** 2
 
 
 def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> tuple:
-    """The (step-down, step-up) steps of the problem (cfg, t, F(t)): for a
-    small problem the _Tables in the slot, both built whole on a miss; for
-    one too large to retain, the _Steps that stream their kernels."""
+    """The (step-down, step-up) exit sources of the problem (cfg, t, F(t)):
+    for a small problem the _Tables in the slot, both counted for every
+    start on a miss; for one too large to retain, the _Steps that count one
+    start per call."""
     global _slot
     if _slot_entries(cfg.model, len(t), cfg.m0) > _SLOT_ENTRIES:
         return _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)

@@ -19,7 +19,7 @@ from scipy.stats import binom
 
 from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
 from sudfdr import exact, steck
-from sudfdr.exact import fdr_sud, joint_pmf, sud_joint_masses
+from sudfdr.exact import fdp_pmf_histogram, fdr_sud, joint_pmf, sud_joint_masses
 from sudfdr.models import (
     AlternativeCdf,
     DiracZeroCdf,
@@ -363,6 +363,36 @@ def test_a_sweep_builds_each_direction_once(monkeypatch):
     assert len(kernels) <= 20 and sum(kernels) <= 600, (len(kernels), sum(kernels))
 
 
+def test_a_sweep_counts_each_direction_once(monkeypatch):
+    # a cold order counts every start of both directions, one count each; a
+    # warm order reads its starts' exit tables and counts nothing (when each
+    # order counts its own two halves, a problem takes 60 counts)
+    calls = []
+
+    def counting(name):
+        count = getattr(exact, name)
+
+        def wrapped(steps, *starts):
+            calls.append((name, starts))
+            return count(steps, *starts)
+
+        return wrapped
+
+    for name in ("_sd_fm_masses", "_sd_rm_masses"):
+        monkeypatch.setattr(exact, name, counting(name))
+    monkeypatch.setattr(exact, "_slot", None)
+    t = from_rho(LinearCurve(0.5), 30)
+    for cfg in _sweep_configs(30):
+        calls.clear()
+        fdr_sud(t, 15, cfg)
+        sd = "_sd_rm_masses" if cfg.model == "RM" else "_sd_fm_masses"
+        assert sorted(calls) == sorted([(sd, (1, 30)), ("_sd_fm_masses", (1, 30))]), (cfg, calls)
+        calls.clear()
+        for lam in range(1, 31):
+            fdr_sud(t, lam, cfg)
+        assert not calls, (cfg, calls)
+
+
 def _cfgs_at_m30(F: AlternativeCdf) -> list:
     return [MixtureConfig(model="FM", m=30, m0=m0, F=F) for m0 in (0, 21, 30)] + [
         MixtureConfig(model="RM", m=30, pi0=pi0, F=F) for pi0 in (0.7, 1.0)
@@ -392,6 +422,29 @@ def test_cold_and_warm_slots_give_equal_laws(monkeypatch, F, tied):
                 assert np.array_equal(sud_joint_masses(t, lam, cfg).masses, cold[lam - 1]), (cfg, lam)
 
 
+def test_a_returned_law_belongs_to_the_caller(monkeypatch):
+    # the slot keeps exit tables, and every law and histogram handed out is
+    # the caller's own array: writing into one leaves every later law of the
+    # retained problem as a cold call computes it
+    m = 30
+    t = from_rho(LinearCurve(0.5), m)
+    for cfg in _cfgs_at_m30(GaussianLocationCdf(1.0)):
+        cold = []
+        for lam in range(1, m + 1):
+            monkeypatch.setattr(exact, "_slot", None)
+            cold.append(sud_joint_masses(t, lam, cfg).masses)
+        slot = exact._slot
+        for lam in range(1, m + 1):
+            law = sud_joint_masses(t, lam, cfg).masses
+            assert np.array_equal(law, cold[lam - 1]), (cfg, lam)
+            law += 1.0
+            law[0, 0] = np.nan
+            fdp_pmf_histogram(t, lam, cfg, 20)[:] = -1.0
+        for lam in range(1, m + 1):
+            assert np.array_equal(sud_joint_masses(t, lam, cfg).masses, cold[lam - 1]), (cfg, lam)
+        assert exact._slot is slot
+
+
 @pytest.mark.parametrize("m", [30, 49])
 def test_retained_and_streamed_laws_agree(monkeypatch, m):
     # every problem here is retained; with no room in the slot each streams
@@ -413,6 +466,12 @@ def test_retained_and_streamed_laws_agree(monkeypatch, m):
     assert exact._slot is None
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_slot_holds_at_most_a_mebibyte(monkeypatch):
     # at the largest retained m (m0 = 0.7 m, pi0 = 0.7); an m = 70 problem
     # streams and leaves the slot as it was
@@ -426,10 +485,12 @@ def test_slot_holds_at_most_a_mebibyte(monkeypatch):
         fdr_sud(from_rho(LinearCurve(0.5), cfg.m), cfg.m // 2, cfg)
         slot = exact._slot
         tables = slot[1]
-        kernels = [K for table in tables for K in table.kernels]
-        assert all(isinstance(K, np.ndarray) and K.base is None for K in kernels)  # no batch buffer is kept
-        rows = [a for table in tables for a in (table.rows, table.splits) if a is not None]
-        held = sum(a.nbytes for a in kernels + rows)
+        exits = [M for table in tables for M in table.tables]
+        for table in tables:  # each direction's exit tables are views of one table, and no count buffer is kept
+            owners = {id(_owner(M)): _owner(M) for M in table.tables}
+            assert len(owners) == 1 and next(iter(owners.values())).nbytes == sum(M.nbytes for M in table.tables)
+        rows = [table.splits for table in tables if table.splits is not None]
+        held = sum(a.nbytes for a in exits + rows)
         assert held <= exact._slot_entries(cfg.model, cfg.m, cfg.m0) * 8 <= (1 << 17) * 8, (cfg, held)
         fdr_sud(from_rho(LinearCurve(0.5), 70), 35, big)
         assert exact._slot is slot
@@ -446,24 +507,24 @@ def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
     t = from_rho(LinearCurve(0.5), m).as_array()
     Fv = GaussianLocationCdf(1.0)(t)
     u, v = t[-1], Fv[-1]
-    one = exact._sd_fm_masses(exact._fm_steps(np.zeros(m), t, 0), start=m)
+    one = exact._sd_fm_masses(exact._fm_steps(np.zeros(m), t, 0), m)  # the ranks k >= m - 1
     expected = np.zeros((m + 1, 1))
     expected[m - 1 :, 0] = binom.pmf([1, 0], m, 1.0 - u)
-    np.testing.assert_allclose(one, expected, rtol=1e-13, atol=0.0)
-    two = exact._sd_fm_masses(exact._fm_steps(t, Fv, m0), start=m)
+    np.testing.assert_allclose(one, expected[m - 1 :], rtol=1e-13, atol=0.0)
+    two = exact._sd_fm_masses(exact._fm_steps(t, Fv, m0), m)
     expected = np.zeros((m + 1, m0 + 1))
     expected[m - 1, m0 - 1] = binom.pmf(1, m0, 1.0 - u) * v ** (m - m0)
     expected[m - 1, m0] = u**m0 * binom.pmf(1, m - m0, 1.0 - v)
     expected[m, m0] = u**m0 * v ** (m - m0)
-    np.testing.assert_allclose(two, expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(two, expected[m - 1 :], rtol=1e-13, atol=0.0)
     pi0 = 0.7
-    rm = exact._sd_rm_masses(exact._steps("SD", t, Fv, MixtureConfig(model="RM", m=m, pi0=pi0, F=GaussianLocationCdf(1.0))), start=m)
+    rm = exact._sd_rm_masses(exact._steps("SD", t, Fv, MixtureConfig(model="RM", m=m, pi0=pi0, F=GaussianLocationCdf(1.0))), m)
     drop = pi0 * u + (1.0 - pi0) * v
     null = np.arange(m + 1)
     expected = np.zeros((m + 1, m + 1))
     expected[m - 1] = binom.pmf(1, m, 1.0 - drop) * binom.pmf(null, m - 1, pi0 * u / drop)
     expected[m] = binom.pmf(0, m, 1.0 - drop) * binom.pmf(null, m, pi0 * u / drop)
-    np.testing.assert_allclose(rm, expected, rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(rm, expected[m - 1 :], rtol=1e-13, atol=1e-300)
 
 
 def _dense_kernel(n: int, drop: float, stay: float) -> np.ndarray:
