@@ -60,9 +60,10 @@ matmul per population, start i joins with its jump, and one strided read
 takes and clears every start's exit anti-diagonal.  It returns the exit
 table of each start s, its rows k >= s - 1.  A _Steps streams: exits(s)
 counts the one start s, for a problem too large to retain, joint_pmf and
-steck.psi.  A _Table retains: it counts the starts 1..m once and keeps each
-start's exit table and, for the RM step-up law, the null split of every
-rank, so an order reads its two starts' tables and counts nothing.
+steck.psi.  A _Table retains: it counts the starts 1..m once and keeps the
+count's table, which holds every start's exit table, and, for the RM
+step-up law, the null split of every rank, so an order gathers its two
+starts' tables and counts nothing.
 sud_joint_masses keeps the two _Tables of the last small problem in one
 module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
 bytes of t and F(t)); a miss replaces it.  A problem is retained when the
@@ -383,17 +384,18 @@ class _Steps:
 
 
 class _Table:
-    """A retained direction: the exit table of every start, from one count
-    of the starts 1..m, each a view of its rows of the count's table, and
-    for the RM step-up law the split of every rank."""
+    """A retained direction: the table of one count of the starts 1..m,
+    from which exits(s) gathers the exit table of start s (see _exit_rows),
+    and for the RM step-up law the split of every rank."""
 
     def __init__(self, steps: _Steps):
         m = len(steps.sizes)
-        self.tables = np.split(steps.count(steps, 1, m), np.arange(m + 1, 2, -1).cumsum())  # start s has m - s + 2 rows
+        self.table = steps.count(steps, 1, m)
+        self.first = np.array(_exit_rows(m, 1, m))
         self.splits = steps.split and steps.split(m)
 
     def exits(self, start: int) -> np.ndarray:
-        return self.tables[start - 1]
+        return self.table[self.first[start - 1 :] + start - 1]
 
     def split(self, top: int):
         return self.splits[: top + 1, : top + 1]
@@ -417,12 +419,14 @@ def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
     return _Steps(lf, sizes, v[1:] - v[:-1], 1.0 - v[1:], jumps, _sd_fm_masses, split)
 
 
-def _exit_rows(m: int, lo: int, hi: int) -> np.ndarray:
-    """The row of rank 0 of each start lo..hi in the table that stacks their
-    exit tables: start s holds the m - s + 2 ranks k = s - 1..m, so its rank
-    k is row base[s - lo] + k."""
-    s = np.arange(lo, hi + 1)
-    return (m + 2 - s).cumsum() - (m + 2 - s) - (s - 1)
+def _exit_rows(m: int, lo: int, hi: int) -> list:
+    """Where each step's rows begin in the table of a count of the starts
+    lo..hi: step i (i = lo..m) holds rank i - 1 of the starts lo..min(i, hi)
+    in start order, and a last block the rank m of every start.  So start s
+    has the m - s + 2 ranks k = s - 1..m, and from the one start s the
+    table is its exit table."""
+    rows = np.minimum(np.arange(lo, m + 2), hi) - lo + 1
+    return (rows.cumsum() - rows).tolist()
 
 
 def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarray:
@@ -445,9 +449,9 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     only rows it returns.  The starts run as one stack of states: at step i
     those of the starts before i move together, one batched matmul per
     population, start i joins with its jump, and one strided read takes and
-    clears the exit anti-diagonal of every state.  The returned table stacks
-    the rows k >= s - 1 of each start s (see _exit_rows); from the one start
-    1 it is the whole M.
+    clears the exit anti-diagonal of every state.  The returned table holds
+    the rows k >= s - 1 of each start s, step by step (see _exit_rows); from
+    the one start 1 it is the whole M.
     """
     hi = lo if hi is None else hi
     m = len(steps.sizes)
@@ -456,16 +460,14 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     # every start's state holds its jump from the outset, cut to the states
     # with at most m - start + 1 points above: until its step (when it
     # joins), no move or read reaches it
-    A, B = steps.sizes[lo - 1] + 1
+    A, B = (steps.sizes[lo - 1] + 1).tolist()
     jumps = steps.jumps(lo - 1, hi)
     P = jumps[:, 0, :A, None] * jumps[:, 1, None, :B]
-    live = m + 1 - np.arange(lo, hi + 1)
-    if A + B - 2 > live[-1]:
-        P[np.add.outer(np.arange(A), np.arange(B)) > live[:, None, None]] = 0.0
-    base = _exit_rows(m, lo, hi)
-    out = np.zeros((int(base[-1]) + m + 1, m0 + 1))
+    if A + B - 2 > m - hi + 1:
+        P[np.add.outer(np.arange(A), np.arange(B)) > np.arange(m - lo + 1, m - hi, -1)[:, None, None]] = 0.0
+    first = _exit_rows(m, lo, hi)
+    out = np.zeros((first[-1] + len(P), m0 + 1))
     by_r0 = out[:, ::-1]  # by_r0[., r0] = out[., m0 - r0]: r0 nulls above, m0 - r0 below
-    flat = P.reshape(len(P), -1)
     for i, (a, b) in enumerate(steps.sizes[lo - 1 :].tolist(), lo):
         L = m - i + 1
         n = min(i, hi + 1) - lo  # the starts before i
@@ -473,18 +475,22 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
             X = P[:n, : a + 1, : b + 1]
             move0, move1 = move[i - lo - 1]
             if move0:  # a banded kernel's product may carry extra zero rows and columns
-                X = (X.transpose(0, 2, 1) @ next(K)).transpose(0, 2, 1)[:, : a + 1]
+                X = (X.mT @ next(K)).mT
             if move1:
-                X = (X @ next(K))[:, :, : b + 1]
-            if move0 or move1:
-                P[:n, : a + 1, : b + 1] = X
+                X = X[:, : a + 1, : b + 1] @ next(K)
+            if (move0 or move1) and i <= hi:  # P still holds the jumps of the starts to come
+                P[:n, : a + 1, : b + 1] = X[:, : a + 1, : b + 1]
+            elif move0 or move1:
+                P = np.ascontiguousarray(X)
         n += i <= hi  # and start i, at its jump
         # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i),
-        # r0 = L - b..a, leaves; cell (r0, L - r0) sits at flat L + r0 (B - 1)
-        exits = flat[:n, L + (L - b) * (B - 1) : L + a * (B - 1) + 1 : B - 1 or 1]
-        by_r0[base[:n] + i - 1, L - b : a + 1] = exits
+        # r0 = L - b..a, leaves; P is C-contiguous and may carry extra zero
+        # rows and columns, so cell (r0, L - r0) sits at flat L + r0 c
+        c = P.shape[2] - 1
+        exits = P.reshape(len(P), -1)[:n, L + (L - b) * c : L + a * c + 1 : c or 1]
+        by_r0[first[i - lo] : first[i - lo] + n, L - b : a + 1] = exits
         exits.fill(0.0)
-    out[base + m, m0] = P[:, 0, 0]
+    out[first[-1] :, m0] = P[:, 0, 0]
     return out
 
 
@@ -519,16 +525,17 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     alt = np.divide(w1, drop, out=np.ones(len(drop)), where=hit)
     logs = _log(np.array((above / (drop + above), drop / (drop + above), null, alt)))
     size = m + 3 - np.arange(lo, hi + 1)
-    first = size.cumsum() - size
-    q = np.arange(int(size.sum())) - first.repeat(size)
-    logs = np.where(q == 0, logs[:2].repeat(size, axis=1), logs[2:].repeat(size, axis=1))
-    rows = _binomial_rows(_log_factorials(m), m - np.maximum(q - 1, 0), *logs)
-    for n, (f, L) in enumerate(zip(first.tolist(), range(pad, pad - len(Z), -1))):
+    at = size.cumsum() - size  # the stay row of each start
+    q = np.arange(at[-1] + size[-1]) - at.repeat(size)
+    by_row = logs[2:].repeat(size, axis=1)
+    by_row[:, at] = logs[:2]
+    rows = _binomial_rows(_log_factorials(m), m + 1 - np.maximum(q, 1), *by_row)
+    for n, (f, L) in enumerate(zip(at.tolist(), range(pad, pad - len(Z), -1))):
         jump = rows[f : f + L + 2]
         P[n, :, : L + 1] = np.multiply(jump[1:], jump[0, : L + 1, None], out=jump[1:]).T
     del rows, jump
-    base = _exit_rows(m, lo, hi)
-    out = np.zeros((int(base[-1]) + m + 1, m + 1))
+    first = _exit_rows(m, lo, hi)
+    out = np.zeros((first[-1] + len(Z), m + 1))
     for i in range(lo, m + 1):
         L = m - i + 1
         n = min(i, hi + 1) - lo  # the starts before i
@@ -540,9 +547,9 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
             if move1:
                 P[:n, :, : L + 1] = (P[:n, :, : L + 1] @ next(K))[:, :, : L + 1]
         n += i <= hi  # and start i, at its jump
-        out[base[:n] + i - 1] = P[:n, :, L]
+        out[first[i - lo] : first[i - lo] + n] = P[:n, :, L]
         P[:n, :, L] = 0.0
-    out[base + m] = P[:, :, 0]
+    out[first[-1] :] = P[:, :, 0]
     return out
 
 
