@@ -42,8 +42,8 @@ populations are built in one batched expression of at most 2^14 entries
 among them, and each batch is used up before the next is built.  Each
 state move is a view of the state times the next kernel: the FM state
 P[r0, r1] moves as P @ K (alternatives) and (P.T @ K).T (nulls), and is
-written back into one C-contiguous buffer, for the strided slice that reads
-and clears each exit anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
+kept C-contiguous for the strided slice that reads and clears each exit
+anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
 of the (n0, r) state that indexes it by (n1, r).
 
 A sweep over lambda runs many counts on one problem, (the model, m0 or pi0,
@@ -391,11 +391,11 @@ class _Table:
     def __init__(self, steps: _Steps):
         m = len(steps.sizes)
         self.table = steps.count(steps, 1, m)
-        self.first = np.array(_exit_rows(m, 1, m))
+        self.step_rows = np.array(_exit_rows(m, 1, m))
         self.splits = steps.split and steps.split(m)
 
     def exits(self, start: int) -> np.ndarray:
-        return self.table[self.first[start - 1 :] + start - 1]
+        return self.table[self.step_rows[start - 1 :] + start - 1]
 
     def split(self, top: int):
         return self.splits[: top + 1, : top + 1]
@@ -478,9 +478,9 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
                 X = (X.mT @ next(K)).mT
             if move1:
                 X = X[:, : a + 1, : b + 1] @ next(K)
-            if (move0 or move1) and i <= hi:  # P still holds the jumps of the starts to come
+            if i <= hi:  # P still holds the jumps of the starts to come
                 P[:n, : a + 1, : b + 1] = X[:, : a + 1, : b + 1]
-            elif move0 or move1:
+            else:
                 P = np.ascontiguousarray(X)
         n += i <= hi  # and start i, at its jump
         # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i),
