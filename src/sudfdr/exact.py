@@ -58,22 +58,26 @@ range of starts lo..hi as one stack, on the kernels of the steps after lo:
 at step i the states of the starts before i move together, one batched
 matmul per population, start i joins with its jump, and one strided read
 takes and clears every start's exit anti-diagonal.  It returns the exit
-table of each start s, its rows k >= s - 1.  A _Steps streams: exits(s)
-counts the one start s, for a problem too large to retain, joint_pmf and
-steck.psi.  A _Table retains: it counts the starts 1..m once and keeps the
-count's table, which holds every start's exit table, and, for the RM
-step-up law, the null split of every rank, so an order gathers its two
-starts' tables and counts nothing.
-sud_joint_masses keeps the two _Tables of the last small problem in one
-module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
-bytes of t and F(t)); a miss replaces it.  A problem is retained when the
-float64 entries of its two tables, counted from (model, m, m0), fit in 2^17
-(1 MiB): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
-RM, so every retained kernel is dense.  A cold call on a small problem
-counts every start of both directions, which costs a few one-order calls
-(about 2x at m = 30), so a sweep gains from its third order or so on.  A
-retained law is the same array whether the slot was cold or warm, in any
-order of calls; it differs from the streamed law of the same order by
+table of each start s, its rows k >= s - 1.  A _Table holds the table
+of one count and gathers from it the exit table of each of its starts,
+and, for the RM step-up law, the null split of every rank they reach; an
+order reads its two starts' exit tables from the _Tables of its two
+directions.  joint_pmf counts its one start from step 1, and steck.psi
+runs the count itself.
+sud_joint_masses keeps the two _Tables of the last problem it counted in
+one module-level slot, _slot, keyed by value (the model, m0 or pi0, and
+the bytes of t and F(t)), in a budget of 2^17 float64 entries (1 MiB).  A
+small problem, whose tables of every start fit it (counted from (model,
+m, m0): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
+RM), counts every start of both directions on its first order, which
+costs a few one-order calls (about 2x at m = 30), so a sweep gains from
+its third order or so on, and no later order counts.  A larger problem
+counts the two starts of each new order, lambda and m - lambda + 1, and
+the slot keeps them when they fit (every order up to m = 431 in FM at
+m0 = 0.7 m and m = 359 in RM; else it stays as it was), so the FDR, FDP
+c.d.f., histogram and k-FWER of one order count once.  A law is the same
+array whether the slot was cold or warm, in any order of calls; the law
+of a small problem differs from a one-start count of the same order by
 rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
@@ -379,23 +383,25 @@ class _Steps:
             return [], iter(())
         return _moves(self.lf, self.sizes[start:], self.drop[start - 1 :], self.stay[start - 1 :])
 
-    def exits(self, start: int) -> np.ndarray:
-        return self.count(self, start)
-
 
 class _Table:
-    """A retained direction: the table of one count of the starts 1..m,
-    from which exits(s) gathers the exit table of start s (see _exit_rows),
-    and for the RM step-up law the split of every rank."""
+    """The table of one count of the starts lo..hi of a direction (every
+    start 1..m by default), from which exits(s) gathers the exit table of
+    start s (see _exit_rows), and for the RM step-up law the split of every
+    rank those starts reach.  From one start the table is its exit table."""
 
-    def __init__(self, steps: _Steps):
+    def __init__(self, steps: _Steps, lo: int = 1, hi: int | None = None):
         m = len(steps.sizes)
-        self.table = steps.count(steps, 1, m)
-        self.step_rows = np.array(_exit_rows(m, 1, m))
-        self.splits = steps.split and steps.split(m)
+        self.lo, self.hi = lo, m if hi is None else hi
+        self.table = steps.count(steps, lo, self.hi)
+        self.step_rows = np.array(_exit_rows(m, lo, self.hi))
+        self.splits = steps.split and steps.split(m - lo + 1)
+        self.entries = self.table.size + (0 if self.splits is None else self.splits.size)
 
     def exits(self, start: int) -> np.ndarray:
-        return self.table[self.step_rows[start - 1 :] + start - 1]
+        if self.lo == self.hi:
+            return self.table
+        return self.table[self.step_rows[start - self.lo :] + start - self.lo]
 
     def split(self, top: int):
         return self.splits[: top + 1, : top + 1]
@@ -596,59 +602,68 @@ def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) ->
     return _fm_steps(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0)
 
 
-def _masses(procedure: str, cfg: MixtureConfig, source, start: int = 1) -> np.ndarray:
-    """The (m + 1)^2 law of a pure step-up or step-down rule, from the exit
-    table of the count that starts at step `start` of the direction (its
-    ranks k >= start - 1): a _Steps of _steps counts it, its _Table reads
-    it.  A step-up law is the step-down count of 1 - p read backwards, so
-    its ranks are 0..m - start + 1; in RM the split is read only for them."""
-    M = source.exits(start)
-    top = cfg.m - start + 1
-    out = np.zeros((cfg.m + 1, cfg.m + 1))
-    if cfg.model == "RM" and procedure == "SU":
-        np.multiply(source.split(top), M[::-1, 0, None], out=out[: top + 1, : top + 1])  # times P(|R| = k)
-    elif procedure == "SD":
+def _masses(procedure: str, cfg: MixtureConfig, table: _Table, start: int, out: np.ndarray):
+    """Write the law of a pure step-up or step-down rule into out, its rows
+    k < len(out), from the exit table of the start `start` of its
+    direction's _Table (its ranks k >= start - 1).  A step-up law is the
+    step-down count of 1 - p read backwards, so its ranks are 0..m - start +
+    1; in RM the split is read only for them."""
+    M = table.exits(start)
+    if procedure == "SD":
         out[start - 1 :, : M.shape[1]] = M
+        return
+    top = cfg.m - start + 1
+    rows = min(top + 1, len(out))
+    if cfg.model == "RM":  # the split times P(|R| = k)
+        np.multiply(table.split(top)[:rows], M[::-1, 0, None][:rows], out=out[:rows, : top + 1])
     else:
-        out[: top + 1, : M.shape[1]] = M[::-1, ::-1]
-    return out
+        out[:rows, : M.shape[1]] = M[::-1, ::-1][:rows]
 
 
 # ---------------------------------------------------------------------------
-# the retained step tables of a small problem
+# the retained exit tables
 # ---------------------------------------------------------------------------
 
 _SLOT_ENTRIES = 1 << 17  # float64 entries the slot may hold: 1 MiB
-_slot = None  # (key, (step-down table, step-up table)) of the last retained problem, or None
+_slot = None  # (key, (step-down _Table, step-up _Table)) of the last problem kept, or None
 
 
 def _slot_entries(model: str, m: int, m0: int | None) -> int:
-    """The float64 entries the two _Tables of a problem hold at most, from
-    (model, m, m0) alone: in each direction the exit table of every start s,
-    its m - s + 2 rows k >= s - 1, m (m + 3) / 2 rows in all, and in RM the
-    step-up split of every rank.  Each table is counted as wide as the
-    larger population, m + 1 columns in RM (the step-up table has 1) and
-    max(m0, m - m0) + 1 in FM (both have m0 + 1): counting every start costs
-    with the states, not with the tables, so a problem with narrow tables is
-    retained no further in m than one with wide ones."""
+    """The float64 entries the two _Tables of every start of a problem hold
+    at most, from (model, m, m0) alone: in each direction the exit table of
+    every start s, its m - s + 2 rows k >= s - 1, m (m + 3) / 2 rows in all,
+    and in RM the step-up split of every rank.  Each table is counted as
+    wide as the larger population, m + 1 columns in RM (the step-up table
+    has 1) and max(m0, m - m0) + 1 in FM (both have m0 + 1): counting every
+    start costs with the states, not with the tables, so a problem with
+    narrow tables is retained no further in m than one with wide ones."""
     width = m + 1 if model == "RM" else max(m0, m - m0) + 1
     return m * (m + 3) * width + (model == "RM") * (m + 1) ** 2
 
 
-def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) -> tuple:
-    """The (step-down, step-up) exit sources of the problem (cfg, t, F(t)):
-    for a small problem the _Tables in the slot, both counted for every
-    start on a miss; for one too large to retain, the _Steps that count one
-    start per call."""
+def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, lam: int) -> tuple:
+    """The (step-down, step-up) _Tables that hold the two starts of order
+    lambda, lambda and m - lambda + 1, of the problem (cfg, t, F(t)): the
+    slot's when they hold them.  Otherwise a small problem counts every
+    start of both directions into the slot, and a larger one the two starts,
+    which the slot keeps when they fit in _SLOT_ENTRIES (else it stays as it
+    was)."""
     global _slot
-    if _slot_entries(cfg.model, len(t), cfg.m0) > _SLOT_ENTRIES:
-        return _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
+    m = len(t)
     key = (cfg.model, cfg.m0 if cfg.model == "FM" else cfg.pi0, t.tobytes(), Fv.tobytes())
+    starts = (lam, m - lam + 1)
     slot = _slot
-    if slot is None or slot[0] != key:
-        _slot = slot = None  # free the old problem's tables before building the new ones
-        slot = _slot = key, (_Table(_steps("SD", t, Fv, cfg)), _Table(_steps("SU", t, Fv, cfg)))
-    return slot[1]
+    if slot is not None and slot[0] == key and all(T.lo <= s <= T.hi for T, s in zip(slot[1], starts)):
+        return slot[1]
+    steps = _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
+    if _slot_entries(cfg.model, m, cfg.m0) <= _SLOT_ENTRIES:
+        _slot = None  # free the old problem's tables before building the new ones
+        _slot = key, tuple(_Table(direction) for direction in steps)
+        return _slot[1]
+    tables = tuple(_Table(direction, s, s) for direction, s in zip(steps, starts))
+    if sum(T.entries for T in tables) <= _SLOT_ENTRIES:
+        _slot = key, tables
+    return tables
 
 
 def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
@@ -659,7 +674,9 @@ def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> Joi
     if procedure not in ("SU", "SD"):
         raise ValueError(f"procedure must be 'SU' or 'SD', got {procedure!r}")
     arr = t.as_array()
-    return JointPmf(_masses(procedure, cfg, _steps(procedure, arr, cfg.F(arr), cfg)))
+    masses = np.zeros((cfg.m + 1, cfg.m + 1))
+    _masses(procedure, cfg, _Table(_steps(procedure, arr, cfg.F(arr), cfg), 1, 1), 1, masses)
+    return JointPmf(masses)
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +704,10 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     arr = t.as_array()
     Fv = cfg.F(arr)
-    sd, su = _tables(arr, Fv, cfg)
-    masses = _masses("SD", cfg, sd, lam)
-    masses[:lam] = _masses("SU", cfg, su, m - lam + 1)[:lam]
+    sd, su = _tables(arr, Fv, cfg, lam)  # both counted before the law exists, for the peak
+    masses = np.zeros((m + 1, m + 1))
+    _masses("SD", cfg, sd, lam, masses)
+    _masses("SU", cfg, su, m - lam + 1, masses[:lam])
     return JointPmf(masses)
 
 
@@ -702,10 +720,12 @@ def _expect(t: ThresholdCollection, lam: int, cfg: MixtureConfig, payoff, groups
     correctly rounded, so neither the zero cells nor the order changes a sum.
     """
     masses = sud_joint_masses(t, lam, cfg).masses
-    cells = np.flatnonzero(masses)
-    value, group = payoff(*np.divmod(cells, masses.shape[0]))
-    terms = value * masses.ravel()[cells]
-    del masses, cells, value  # the sort and the list below need only the terms
+    side, cells = len(masses), np.flatnonzero(masses)
+    mass = masses.ravel()[cells]
+    del masses  # the rest reads only the nonzero cells
+    value, group = payoff(*np.divmod(cells, side))
+    terms = value * mass
+    del cells, mass, value  # the sort and the list below need only the terms
     group = np.full(terms.shape, group)
     order = np.argsort(group, kind="stable")
     terms = terms[order].tolist()

@@ -25,7 +25,9 @@ the smallest unsigned type that holds m; below m = 256 that is uint8, and
 the two tables together are a quarter of the chunk's float64 sample.
 The SUD ranks come from two branch-free scans over the clearance rows
 that keep a row only for each requested order (the backward scan stops at
-the smallest of them and the forward scan at the largest).  V for an
+the smallest of them and the forward scan at the largest), held at the
+type of the null counts: below m = 256 a full-order sweep's rows weigh as
+much as the clearance matrix.  V for an
 order lambda is then one O(n) gather from the null count.  A chunk's
 tables are freed before the next chunk is sampled.
 """
@@ -125,21 +127,22 @@ def _khat_rows(cleared: np.ndarray, orders: list) -> dict:
     lam, and khat[lam] is the larger of the two.
     """
     m, size = cleared.shape
-    clear = cleared.view(np.int8)
-    khat = {lam: np.empty(size, dtype=np.int32) for lam in orders}
-    edge = np.full(size, m, dtype=np.int32)
+    clear = cleared.view(np.uint8)
+    rank = np.min_scalar_type(m).type  # every rank fits, as in the null counts
+    khat = {lam: np.empty(size, dtype=rank) for lam in orders}
+    edge = np.full(size, m, dtype=rank)
     for k in range(m - 1, min(orders) - 2, -1):  # edge: ranks k+2..edge all clear
         np.multiply(edge, clear[k], out=edge)
         if k + 1 in khat:
             np.copyto(khat[k + 1], edge)
-        np.maximum(edge, k, out=edge)
+        np.maximum(edge, rank(k), out=edge)
     edge[:] = 0
-    rank = np.empty(size, dtype=np.int32)
+    row = np.empty(size, dtype=rank)
     for k in range(max(orders)):  # edge: the largest cleared rank <= k
         if k + 1 in khat:
             np.maximum(khat[k + 1], edge, out=khat[k + 1])
-        np.multiply(clear[k], np.int32(k + 1), out=rank)
-        np.maximum(edge, rank, out=edge)
+        np.multiply(clear[k], rank(k + 1), out=row)
+        np.maximum(edge, row, out=edge)
     return khat
 
 

@@ -19,7 +19,7 @@ from scipy.stats import binom
 
 from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
 from sudfdr import exact, steck
-from sudfdr.exact import fdp_pmf_histogram, fdr_sud, joint_pmf, sud_joint_masses
+from sudfdr.exact import fdp_cdf, fdp_pmf_histogram, fdr_sud, joint_pmf, kfwer, sud_joint_masses
 from sudfdr.models import (
     AlternativeCdf,
     DiracZeroCdf,
@@ -467,8 +467,8 @@ def test_retained_and_streamed_laws_agree(monkeypatch, m):
 
 
 def test_slot_holds_at_most_a_mebibyte(monkeypatch):
-    # at the largest retained m (m0 = 0.7 m, pi0 = 0.7); an m = 70 problem
-    # streams and leaves the slot as it was
+    # at the largest m that keeps every start (m0 = 0.7 m, pi0 = 0.7); an
+    # m = 70 order replaces it with the exit tables of its two starts
     monkeypatch.setattr(exact, "_slot", None)
     F = GaussianLocationCdf(1.0)
     cases = [
@@ -485,7 +485,60 @@ def test_slot_holds_at_most_a_mebibyte(monkeypatch):
         held = sum(a.nbytes for a in exits + rows)
         assert held <= exact._slot_entries(cfg.model, cfg.m, cfg.m0) * 8 <= (1 << 17) * 8, (cfg, held)
         fdr_sud(from_rho(LinearCurve(0.5), 70), 35, big)
-        assert exact._slot is slot
+        tables = exact._slot[1]
+        assert [(table.lo, table.hi) for table in tables] == [(35, 35), (36, 36)]
+        held = sum(a.nbytes for table in tables for a in (table.table, table.splits) if a is not None)
+        assert held <= (1 << 17) * 8, (big, held)
+
+
+@pytest.mark.parametrize(
+    "cfg, lam",
+    [
+        (MixtureConfig(model="FM", m=70, m0=49, F=GaussianLocationCdf(1.0)), 35),
+        (MixtureConfig(model="RM", m=70, pi0=0.7, F=GaussianLocationCdf(1.0)), 35),
+        (MixtureConfig(model="FM", m=300, m0=210, F=IdentityCdf()), 300),
+    ],
+    ids=["FM", "RM", "FM-identity-m300"],
+)
+def test_the_functionals_of_one_order_count_it_once(monkeypatch, cfg, lam):
+    # a problem too large to count every start counts the two starts of an
+    # order, lambda and m - lambda + 1, and the slot keeps their exit
+    # tables: the FDR, histogram, FDP c.d.f. and k-FWER of the order count
+    # once per direction, and a new order or a new problem counts again
+    calls = []
+
+    def counting(name):
+        count = getattr(exact, name)
+
+        def wrapped(steps, *starts):
+            calls.append((name, starts))
+            return count(steps, *starts)
+
+        return wrapped
+
+    for name in ("_sd_fm_masses", "_sd_rm_masses"):
+        monkeypatch.setattr(exact, name, counting(name))
+    m = cfg.m
+    sd = "_sd_rm_masses" if cfg.model == "RM" else "_sd_fm_masses"
+    linear, ties = from_rho(LinearCurve(0.5), m), _tied_thresholds(m)
+    cases = [(linear, lam), (linear, lam // 2), (ties, lam // 2), (linear, lam)]
+    cold = []
+    for t, order in cases:
+        monkeypatch.setattr(exact, "_slot", None)
+        cold.append(sud_joint_masses(t, order, cfg).masses)
+    monkeypatch.setattr(exact, "_slot", None)
+    for (t, order), law in zip(cases, cold):
+        calls.clear()
+        fdr_sud(t, order, cfg)
+        fdp_pmf_histogram(t, order, cfg, 20)
+        for x in (0.1, 0.3, 0.6):
+            fdp_cdf(t, order, cfg, x)
+        for k in (1, 2):
+            kfwer(t, order, cfg, k)
+        assert np.array_equal(sud_joint_masses(t, order, cfg).masses, law), (cfg, order)
+        assert sorted(calls) == sorted([(sd, (order, order)), ("_sd_fm_masses", (m - order + 1,) * 2)]), calls
+        held = sum(a.nbytes for table in exact._slot[1] for a in (table.table, table.splits) if a is not None)
+        assert held <= (1 << 17) * 8, (cfg, order, held)
 
 
 def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
