@@ -58,27 +58,30 @@ range of starts lo..hi as one stack, on the kernels of the steps after lo:
 at step i the states of the starts before i move together, one batched
 matmul per population, start i joins with its jump, and one strided read
 takes and clears every start's exit anti-diagonal.  It returns the exit
-table of each start s, its rows k >= s - 1.  A _Table holds the table
-of one count and gathers from it the exit table of each of its starts,
-and, for the RM step-up law, the null split of every rank they reach; an
-order reads its two starts' exit tables from the _Tables of its two
-directions.  joint_pmf counts its one start from step 1, and steck.psi
-runs the count itself.
-sud_joint_masses keeps the two _Tables of the last problem it counted in
-one module-level slot, _slot, keyed by value (the model, m0 or pi0, and
-the bytes of t and F(t)), in a budget of 2^17 float64 entries (1 MiB).  A
-small problem, whose tables of every start fit it (counted from (model,
-m, m0): at m0 = 0.7 m or pi0 = 0.7 that is m <= 55 in FM and m <= 49 in
-RM), counts every start of both directions on its first order, which
-costs a few one-order calls (about 2x at m = 30), so a sweep gains from
-its third order or so on, and no later order counts.  A larger problem
-counts the two starts of each new order, lambda and m - lambda + 1, and
-the slot keeps them when they fit (every order up to m = 431 in FM at
-m0 = 0.7 m and m = 359 in RM; else it stays as it was), so the FDR, FDP
-c.d.f., histogram and k-FWER of one order count once.  A law is the same
-array whether the slot was cold or warm, in any order of calls; the law
-of a small problem differs from a one-start count of the same order by
-rounding only, as the batches that build a kernel differ.
+table of each start s, its rows k >= s - 1, step by step (_exit_rows).
+_laws runs the two counts of the orders lo..hi, the step-down starts lo..hi
+and the step-up starts m - hi + 1..m - lo + 1, and gathers from their
+tables the law of every order at once, laws[lambda - lo, k, j], with a
+column for each null count (m0 + 1 in FM, m + 1 in RM).  steck.psi runs the
+count itself.
+
+sud_joint_masses keeps the laws of the last problem it counted in one
+module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
+bytes of t and F(t)), in a budget of 2^17 float64 entries (1 MiB), and
+copies its order's law into a dense (m + 1)^2 array; joint_pmf is the law
+of order 1 (SD) or m (SU).  A small problem, whose m laws fit the budget at
+the width of its larger population (counted from (model, m, m0): at m0 =
+0.7 m or pi0 = 0.7 that is m <= 56 in FM and m <= 50 in RM), counts every
+start of both directions on its first order, which costs a few one-order
+calls (about 2x at m = 30), so a sweep gains from its third order or so on,
+and no later order counts.  A larger problem counts the two starts of each
+new order, lambda and m - lambda + 1, and the slot keeps its law when it
+fits (every order up to m = 431 in FM at m0 = 0.7 m and m = 361 in RM; else
+it stays as it was), so the FDR, FDP c.d.f., histogram and k-FWER of one
+order count once.  Laws that fail their mass check are not kept.  A law is
+the same array whether the slot was cold or warm, in any order of calls;
+the law of a small problem differs from a one-order count of the same order
+by rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
@@ -141,11 +144,18 @@ def _require_continuous(F: AlternativeCdf):
         )
 
 
+def _mass_check(masses: np.ndarray, axis=None) -> tuple:
+    """The least mass and |total - 1| of masses (over axis), and whether
+    they pass: no mass below -SUM_TOL and a total within SUM_TOL of 1."""
+    low = masses.min(axis=axis)
+    defect = np.abs(masses.sum(axis=axis) - 1.0)
+    return low, defect, (low >= -SUM_TOL) & (defect <= SUM_TOL)  # NaN fails too
+
+
 def _check_masses(masses: np.ndarray):
     """Raise PrecisionError unless masses is a distribution within SUM_TOL."""
-    low = float(masses.min())
-    defect = abs(float(masses.sum()) - 1.0)
-    if not (low >= -SUM_TOL and defect <= SUM_TOL):  # NaN fails too
+    low, defect, ok = _mass_check(masses)
+    if not ok:
         raise PrecisionError(
             f"joint law fails the mass check (min {low:.3e}, |total - 1| {defect:.3e}, "
             f"tolerance {SUM_TOL:.0e}); double precision exhausted for this configuration"
@@ -369,9 +379,8 @@ class _Steps:
     of the starts lo + 1..hi: a binomial pair in the FM layout (see
     _fm_steps), and in the RM one the null and alternative weights below
     t_start and the weight above it.  count is the count of its layout,
-    _sd_fm_masses or _sd_rm_masses, and exits(start) runs it for the one
-    start.  split(top), of the RM step-up law only, builds the null split of
-    ranks 0..top (see _rm_split)."""
+    _sd_fm_masses or _sd_rm_masses.  split(top), of the RM step-up law only,
+    builds the null split of ranks 0..top (see _rm_split)."""
 
     def __init__(self, lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, count, split=None):
         self.lf, self.sizes, self.drop, self.stay = lf, sizes, drop, stay
@@ -382,29 +391,6 @@ class _Steps:
         if start == len(self.sizes):  # nothing moves after the last step
             return [], iter(())
         return _moves(self.lf, self.sizes[start:], self.drop[start - 1 :], self.stay[start - 1 :])
-
-
-class _Table:
-    """The table of one count of the starts lo..hi of a direction (every
-    start 1..m by default), from which exits(s) gathers the exit table of
-    start s (see _exit_rows), and for the RM step-up law the split of every
-    rank those starts reach.  From one start the table is its exit table."""
-
-    def __init__(self, steps: _Steps, lo: int = 1, hi: int | None = None):
-        m = len(steps.sizes)
-        self.lo, self.hi = lo, m if hi is None else hi
-        self.table = steps.count(steps, lo, self.hi)
-        self.step_rows = np.array(_exit_rows(m, lo, self.hi))
-        self.splits = steps.split and steps.split(m - lo + 1)
-        self.entries = self.table.size + (0 if self.splits is None else self.splits.size)
-
-    def exits(self, start: int) -> np.ndarray:
-        if self.lo == self.hi:
-            return self.table
-        return self.table[self.step_rows[start - self.lo :] + start - self.lo]
-
-    def split(self, top: int):
-        return self.splits[: top + 1, : top + 1]
 
 
 def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
@@ -560,7 +546,7 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# joint mass tables for pure step-up / step-down procedures
+# the laws of SUD orders
 # ---------------------------------------------------------------------------
 
 
@@ -602,81 +588,66 @@ def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) ->
     return _fm_steps(1.0 - t[::-1], 1.0 - Fv[::-1], cfg.m0)
 
 
-def _masses(procedure: str, cfg: MixtureConfig, table: _Table, start: int, out: np.ndarray):
-    """Write the law of a pure step-up or step-down rule into out, its rows
-    k < len(out), from the exit table of the start `start` of its
-    direction's _Table (its ranks k >= start - 1).  A step-up law is the
-    step-down count of 1 - p read backwards, so its ranks are 0..m - start +
-    1; in RM the split is read only for them."""
-    M = table.exits(start)
-    if procedure == "SD":
-        out[start - 1 :, : M.shape[1]] = M
-        return
-    top = cfg.m - start + 1
-    rows = min(top + 1, len(out))
-    if cfg.model == "RM":  # the split times P(|R| = k)
-        np.multiply(table.split(top)[:rows], M[::-1, 0, None][:rows], out=out[:rows, : top + 1])
+def _laws(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, lo: int, hi: int) -> np.ndarray:
+    """The laws of the orders lo..hi of the problem (cfg, t, F(t)), as
+    laws[lambda - lo, k, j], j = 0..m0 in FM and 0..m in RM.
+
+    Each direction runs one count: the step-down one of the starts lo..hi and
+    the step-up one of the starts m - hi + 1..m - lo + 1.  The ranks k >=
+    lambda are those of step-down start lambda, and the ranks k < lambda
+    those of step-up start m - lambda + 1 read backwards: its rank m - k,
+    with m0 - j nulls below in FM, and in RM P(|R| = k) times the split of
+    rank k, for ranks 0..hi.  Each half is one gather from its count's table
+    (see _exit_rows)."""
+    m = len(t)
+    sd, su = _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
+    down = sd.count(sd, lo, hi)
+    up = su.count(su, m - hi + 1, m - lo + 1)
+    laws = np.zeros((hi - lo + 1, m + 1, down.shape[1]))
+    ranks, orders = np.arange(m + 1), np.arange(lo, hi + 1)[:, None]
+    a, k = np.nonzero(ranks >= orders)  # order lo + a, rank k
+    laws[a, k] = down[np.take(_exit_rows(m, lo, hi), k + 1 - lo) + a]
+    a, k = np.nonzero(ranks < orders)  # rank m - k of step-up start m - lambda + 1, hi - lambda after the first
+    rows = np.take(_exit_rows(m, m - hi + 1, m - lo + 1), hi - k) + hi - lo - a
+    if cfg.model == "RM":
+        laws[a, k, : hi + 1] = su.split(hi)[k] * up[rows]
     else:
-        out[:rows, : M.shape[1]] = M[::-1, ::-1][:rows]
+        laws[a, k] = up[rows, ::-1]
+    return laws
 
 
 # ---------------------------------------------------------------------------
-# the retained exit tables
+# the retained laws
 # ---------------------------------------------------------------------------
 
 _SLOT_ENTRIES = 1 << 17  # float64 entries the slot may hold: 1 MiB
-_slot = None  # (key, (step-down _Table, step-up _Table)) of the last problem kept, or None
+_slot = None  # (key, lo, laws) of the last problem kept, its orders lo..lo + len(laws) - 1, or None
 
 
-def _slot_entries(model: str, m: int, m0: int | None) -> int:
-    """The float64 entries the two _Tables of every start of a problem hold
-    at most, from (model, m, m0) alone: in each direction the exit table of
-    every start s, its m - s + 2 rows k >= s - 1, m (m + 3) / 2 rows in all,
-    and in RM the step-up split of every rank.  Each table is counted as
-    wide as the larger population, m + 1 columns in RM (the step-up table
-    has 1) and max(m0, m - m0) + 1 in FM (both have m0 + 1): counting every
-    start costs with the states, not with the tables, so a problem with
-    narrow tables is retained no further in m than one with wide ones."""
-    width = m + 1 if model == "RM" else max(m0, m - m0) + 1
-    return m * (m + 3) * width + (model == "RM") * (m + 1) ** 2
-
-
-def _tables(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, lam: int) -> tuple:
-    """The (step-down, step-up) _Tables that hold the two starts of order
-    lambda, lambda and m - lambda + 1, of the problem (cfg, t, F(t)): the
-    slot's when they hold them.  Otherwise a small problem counts every
-    start of both directions into the slot, and a larger one the two starts,
-    which the slot keeps when they fit in _SLOT_ENTRIES (else it stays as it
-    was)."""
+def _law(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, lam: int) -> np.ndarray:
+    """The law of order lambda of the problem (cfg, t, F(t)), as _laws gives
+    it: the slot's when it holds it.  Otherwise a small problem, whose m
+    laws fit in _SLOT_ENTRIES at the width of its larger population (m + 1
+    in RM, max(m0, m - m0) + 1 in FM: counting every order costs with the
+    states, not with the laws), counts every order into the slot, and a
+    larger one its one order, which the slot keeps when it fits (else it
+    stays as it was).  Laws that fail their mass check are not kept."""
     global _slot
     m = len(t)
     key = (cfg.model, cfg.m0 if cfg.model == "FM" else cfg.pi0, t.tobytes(), Fv.tobytes())
-    starts = (lam, m - lam + 1)
     slot = _slot
-    if slot is not None and slot[0] == key and all(T.lo <= s <= T.hi for T, s in zip(slot[1], starts)):
-        return slot[1]
-    steps = _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
-    if _slot_entries(cfg.model, m, cfg.m0) <= _SLOT_ENTRIES:
-        _slot = None  # free the old problem's tables before building the new ones
-        _slot = key, tuple(_Table(direction) for direction in steps)
-        return _slot[1]
-    tables = tuple(_Table(direction, s, s) for direction, s in zip(steps, starts))
-    if sum(T.entries for T in tables) <= _SLOT_ENTRIES:
-        _slot = key, tables
-    return tables
-
-
-def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
-    """Full joint table for a pure step-up ("SU") or step-down ("SD") rule."""
-    _require_continuous(cfg.F)
-    if t.m != cfg.m:
-        raise ValueError("threshold collection and model disagree on m")
-    if procedure not in ("SU", "SD"):
-        raise ValueError(f"procedure must be 'SU' or 'SD', got {procedure!r}")
-    arr = t.as_array()
-    masses = np.zeros((cfg.m + 1, cfg.m + 1))
-    _masses(procedure, cfg, _Table(_steps(procedure, arr, cfg.F(arr), cfg), 1, 1), 1, masses)
-    return JointPmf(masses)
+    if slot is not None and slot[0] == key and 0 <= lam - slot[1] < len(slot[2]):
+        return slot[2][lam - slot[1]]
+    width = m + 1 if cfg.model == "RM" else max(cfg.m0, m - cfg.m0) + 1
+    if m * (m + 1) * width <= _SLOT_ENTRIES:
+        _slot = None  # free the old problem's laws before counting the new ones
+        lo, hi = 1, m
+    else:
+        lo = hi = lam
+    laws = _laws(t, Fv, cfg, lo, hi)
+    if laws.size <= _SLOT_ENTRIES and _mass_check(laws, (1, 2))[2].all():
+        _slot = key, lo, laws
+    return laws[lam - lo]
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +674,18 @@ def sud_joint_masses(t: ThresholdCollection, lam: int, cfg: MixtureConfig) -> Jo
     if not 1 <= _as_int(lam, "lambda") <= m:
         raise ValueError(f"lambda must be in [1, {m}], got {lam}")
     arr = t.as_array()
-    Fv = cfg.F(arr)
-    sd, su = _tables(arr, Fv, cfg, lam)  # both counted before the law exists, for the peak
+    law = _law(arr, cfg.F(arr), cfg, lam)  # counted before the dense law exists, for the peak
     masses = np.zeros((m + 1, m + 1))
-    _masses("SD", cfg, sd, lam, masses)
-    _masses("SU", cfg, su, m - lam + 1, masses[:lam])
+    masses[:, : law.shape[1]] = law
     return JointPmf(masses)
+
+
+def joint_pmf(t: ThresholdCollection, cfg: MixtureConfig, procedure: str) -> JointPmf:
+    """Full joint table for a pure step-up ("SU") or step-down ("SD") rule:
+    the SUD law of order m or 1."""
+    if procedure not in ("SU", "SD"):
+        raise ValueError(f"procedure must be 'SU' or 'SD', got {procedure!r}")
+    return sud_joint_masses(t, 1 if procedure == "SD" else t.m, cfg)
 
 
 def _expect(t: ThresholdCollection, lam: int, cfg: MixtureConfig, payoff, groups: int) -> list:

@@ -133,22 +133,25 @@ PASS
 
 
 def test_counterexample_fills_the_slot_once_per_problem(monkeypatch, capsys):
-    # the six orders of each (model, F) problem run together, so its two
-    # step tables are built once; the lines are those of the orders run
+    # the six orders of each (model, F) problem run together, so each of its
+    # two count directions runs once; the lines are those of the orders run
     # with the alternatives in alternation
-    tables = []
-    table = exact._Table
+    counts = []
 
-    def counting(steps):
-        tables.append(steps)
-        return table(steps)
+    def counting(count):
+        def wrapped(*args):
+            counts.append(args[1:])
+            return count(*args)
 
-    monkeypatch.setattr(exact, "_Table", counting)
+        return wrapped
+
+    for name in ("_sd_fm_masses", "_sd_rm_masses"):
+        monkeypatch.setattr(exact, name, counting(getattr(exact, name)))
     monkeypatch.setattr(exact, "_slot", None)
     code, out, _ = _run(capsys, "counterexample")
     assert code == EXIT_OK
     assert out == _COUNTEREXAMPLE.format(version=__version__)
-    assert len(tables) <= 2 * 4  # two directions per fill, four problems
+    assert len(counts) <= 2 * 4  # two directions per fill, four problems
 
 
 def test_counterexample_out_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from scipy.stats import binom
 
 from steck_reference import PsiTable, psi_prefix, psi_rational, psi_two_pop_rational, reflected
 from sudfdr import exact, steck
-from sudfdr.exact import fdp_cdf, fdp_pmf_histogram, fdr_sud, joint_pmf, kfwer, sud_joint_masses
+from sudfdr.exact import PrecisionError, fdp_cdf, fdp_pmf_histogram, fdr_sud, joint_pmf, kfwer, sud_joint_masses
 from sudfdr.models import (
     AlternativeCdf,
     DiracZeroCdf,
@@ -467,28 +467,87 @@ def test_retained_and_streamed_laws_agree(monkeypatch, m):
 
 
 def test_slot_holds_at_most_a_mebibyte(monkeypatch):
-    # at the largest m that keeps every start (m0 = 0.7 m, pi0 = 0.7); an
-    # m = 70 order replaces it with the exit tables of its two starts
+    # at the largest m that keeps every order (m0 = 0.7 m, pi0 = 0.7); an
+    # m = 70 order replaces it with its one law
     monkeypatch.setattr(exact, "_slot", None)
     F = GaussianLocationCdf(1.0)
     cases = [
-        (MixtureConfig(model="FM", m=55, m0=38, F=F), MixtureConfig(model="FM", m=70, m0=49, F=F)),
-        (MixtureConfig(model="RM", m=49, pi0=0.7, F=F), MixtureConfig(model="RM", m=70, pi0=0.7, F=F)),
+        (MixtureConfig(model="FM", m=56, m0=39, F=F), MixtureConfig(model="FM", m=70, m0=49, F=F)),
+        (MixtureConfig(model="RM", m=50, pi0=0.7, F=F), MixtureConfig(model="RM", m=70, pi0=0.7, F=F)),
     ]
     for cfg, big in cases:
         fdr_sud(from_rho(LinearCurve(0.5), cfg.m), cfg.m // 2, cfg)
-        slot = exact._slot
-        tables = slot[1]
-        exits = [table.table for table in tables]
-        assert all(M.base is None for M in exits)  # no count buffer is kept
-        rows = [table.splits for table in tables if table.splits is not None]
-        held = sum(a.nbytes for a in exits + rows)
-        assert held <= exact._slot_entries(cfg.model, cfg.m, cfg.m0) * 8 <= (1 << 17) * 8, (cfg, held)
+        _, lo, laws = exact._slot
+        assert (lo, len(laws)) == (1, cfg.m), cfg
+        assert laws.base is None  # no count buffer is kept
+        assert laws.nbytes <= (1 << 17) * 8, (cfg, laws.nbytes)
         fdr_sud(from_rho(LinearCurve(0.5), 70), 35, big)
-        tables = exact._slot[1]
-        assert [(table.lo, table.hi) for table in tables] == [(35, 35), (36, 36)]
-        held = sum(a.nbytes for table in tables for a in (table.table, table.splits) if a is not None)
-        assert held <= (1 << 17) * 8, (big, held)
+        _, lo, laws = exact._slot
+        assert (lo, len(laws)) == (35, 1), big
+        assert laws.nbytes <= (1 << 17) * 8, (big, laws.nbytes)
+
+
+def _counted(monkeypatch) -> list:
+    """Record the name and starts of every count the engine runs."""
+    calls = []
+    for name in ("_sd_fm_masses", "_sd_rm_masses"):
+
+        def wrapped(steps, *starts, name=name, count=getattr(exact, name)):
+            calls.append((name, starts))
+            return count(steps, *starts)
+
+        monkeypatch.setattr(exact, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cfg, every",
+    [
+        (MixtureConfig(model="FM", m=56, m0=39, F=GaussianLocationCdf(1.0)), True),
+        (MixtureConfig(model="FM", m=57, m0=39, F=GaussianLocationCdf(1.0)), False),
+        (MixtureConfig(model="RM", m=50, pi0=0.7, F=GaussianLocationCdf(1.0)), True),
+        (MixtureConfig(model="RM", m=51, pi0=0.7, F=GaussianLocationCdf(1.0)), False),
+    ],
+    ids=["FM-56", "FM-57", "RM-50", "RM-51"],
+)
+def test_a_first_order_counts_every_start_up_to_the_budget(monkeypatch, cfg, every):
+    # the m laws of a problem, at the width of its larger population, fit
+    # in 2^17 entries up to m = 56 in FM (m0 = 0.7 m) and m = 50 in RM: there
+    # a first order counts every start of both directions, and above it only
+    # its own two starts
+    calls = _counted(monkeypatch)
+    monkeypatch.setattr(exact, "_slot", None)
+    m, lam = cfg.m, cfg.m // 2
+    fdr_sud(from_rho(LinearCurve(0.5), m), lam, cfg)
+    sd = "_sd_rm_masses" if cfg.model == "RM" else "_sd_fm_masses"
+    starts = [(1, m), (1, m)] if every else [(lam, lam), (m - lam + 1, m - lam + 1)]
+    assert sorted(calls) == sorted(zip((sd, "_sd_fm_masses"), starts)), calls
+
+
+@pytest.mark.parametrize("defect", [(0.0, 1e-6), (1e-6, -1e-6)], ids=["total", "negative"])
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_a_law_that_fails_its_mass_check_is_never_retained(monkeypatch, defect, model):
+    # the defect goes into the last two columns of every row of the
+    # step-down count; the last column holds 0 on the ranks k < j, so the
+    # law of order 5 has a total off 1, or a negative mass
+    cfg = (
+        MixtureConfig(model="RM", m=10, pi0=0.7, F=GaussianLocationCdf(1.0))
+        if model == "RM"
+        else MixtureConfig(model="FM", m=10, m0=7, F=GaussianLocationCdf(1.0))
+    )
+    name = "_sd_rm_masses" if model == "RM" else "_sd_fm_masses"
+    count = getattr(exact, name)
+
+    def faulty(*args):
+        masses = count(*args)
+        masses[:, -2:] += defect
+        return masses
+
+    monkeypatch.setattr(exact, name, faulty)
+    monkeypatch.setattr(exact, "_slot", None)
+    with pytest.raises(PrecisionError):
+        fdr_sud(from_rho(LinearCurve(0.5), 10), 5, cfg)
+    assert exact._slot is None
 
 
 @pytest.mark.parametrize(
@@ -537,7 +596,7 @@ def test_the_functionals_of_one_order_count_it_once(monkeypatch, cfg, lam):
             kfwer(t, order, cfg, k)
         assert np.array_equal(sud_joint_masses(t, order, cfg).masses, law), (cfg, order)
         assert sorted(calls) == sorted([(sd, (order, order)), ("_sd_fm_masses", (m - order + 1,) * 2)]), calls
-        held = sum(a.nbytes for table in exact._slot[1] for a in (table.table, table.splits) if a is not None)
+        held = exact._slot[2].nbytes
         assert held <= (1 << 17) * 8, (cfg, order, held)
 
 
@@ -675,11 +734,11 @@ def test_banded_count_matches_dense_count(monkeypatch, m):
     ids=["FM-identity", "FM-gaussian", "RM-gaussian", "RM-gaussian-jump"],
 )
 def test_engine_peak_memory_is_bounded(cfg, lam, bound):
-    # in units of one (m+1)^2 float64 table, measured under tracemalloc:
-    # 3.25, 2.89, 3.78 and 5.74.  The FM bounds sit below 3.50 and 3.16, the
-    # peaks of an FM count that returns a square table instead of its m0 + 1
-    # admissible columns.  The last case is the RM step-down count's jump
-    # from step 1, the engine's largest peak.
+    # in units of one (m+1)^2 float64 table, measured under tracemalloc on
+    # an emptied slot: 2.29, 2.23, 4.60 and 5.79.  The FM bounds sit below
+    # 3.50 and 3.16, the peaks of an FM count that returns a square table
+    # instead of its m0 + 1 admissible columns.  The last case is the RM
+    # step-down count's jump from step 1, the engine's largest peak.
     t = from_rho(LinearCurve(0.5), cfg.m)
     tracemalloc.start()
     try:
