@@ -21,39 +21,60 @@ giving the product state Bin(m0, 1 - t_lambda) x Bin(m1, 1 - F(t_lambda)),
 the outer product of two binomial p.m.f. rows, and the states that would
 have left at the tied steps are cut.  The reflected capped collection
 likewise starts at step m - lambda + 1.  Every dense binomial p.m.f. row
-(the jumps, the RM null/alternative splits and the widest kernel rows that
-set the bands) comes from one batched builder, _binomial_rows.  There are
-two counts, one per state layout: the FM count _sd_fm_masses and the RM
-count _sd_rm_masses.  The RM step-up law and steck.psi need one population
-only, and run the FM count with no nulls, on a one-row state.
+(the jumps and the RM null/alternative splits) comes from _binomial_rows,
+which builds many rows in one expression.  There are two counts, one per
+state layout: the FM count _sd_fm_masses and the RM count _sd_rm_masses.
+The RM step-up law and steck.psi need one population only, and run the FM
+count with no nulls, on a one-row state.
 
-A step's kernel K[r, s] = P(s of r points stay) is built only on its band
-0 <= r - s < w: w is the smallest width that keeps every entry of its widest
-row r = n that is at least 1e-40.  So row n drops only entries below 1e-40,
-and a shorter row, whose number of drops is stochastically smaller, drops no
-more tail mass; each row of the band is renormalized.  Each entry comes from a
-1-D table of log-factorials.  A kernel is applied as one batched matmul over
-its 2w x w diagonal blocks K[jw : jw + 2w, jw : jw + w], which are strided
-views of the band; when the band covers more than half of the kernel (w >
-(n + 1) / 2), or the kernel has fewer than 64 rows, it is applied whole, as
-one plain product.  The bands of consecutive moving steps of both
-populations are built in one batched expression of at most 2^14 entries
-(one kernel at a time once a kernel is that large), at the widest band
-among them, and each batch is used up before the next is built.  Each
-state move is a view of the state times the next kernel: the FM state
-P[r0, r1] moves as P @ K (alternatives) and (P.T @ K).T (nulls), and is
-kept C-contiguous for the strided slice that reads and clears each exit
-anti-diagonal r0 + r1 = m - i + 1; the RM null moves multiply a skewed view
-of the (n0, r) state that indexes it by (n1, r).
+Each count carries its state on a window, the mass window of its step.
+Without the cut at the boundary, the state at step i would be the law of the
+points above t_i: Bin(m0, 1 - u0_i) x Bin(m1, 1 - u1_i) in FM (u the
+probabilities below t_i), and in RM the multinomial whose nulls below and
+points above are Bin(m, pi0 t_i) and Bin(m, 1 - G(t_i)).  The cut only
+removes nonnegative mass, so every count state is a sub-measure of that
+law, and a cell outside the product of its two marginal windows, the counts
+whose binomial probabilities are at least _CUT = 1e-40 (_window), holds less
+than 1e-40.  The window of a step is that product, clipped to the cells the
+state can hold (r0 + r1 <= m - i + 1 in FM; r <= m - i + 1 and n0 + r <= m in
+RM; each RM end of r at most the last step's, as the points above never
+grow).  It depends on the step, not on the start, so every count of a
+direction reads the same windows.  A count keeps only the cells inside:
+each step drops less than 1e-40 in each of at most (m + 1)^2 cells, so no
+mass moves by more than (m + 1)^2 1e-40 per step, and the kernels, whose
+rows sum to 1, carry no dropped mass on.
+
+A step's kernel K[r, s] = P(s of r points stay) is built only on the rows r
+of the last window and read only at the columns s of this one.  Its band is
+0 <= r - s < w, w the smallest width that keeps every entry of its last row
+r = n that is at least 1e-40.  So row n drops only entries below 1e-40, and
+a shorter row, whose number of drops is stochastically smaller, drops no
+more tail mass; each row of the band is renormalized.  A kernel of at least
+64 rows whose band is at most half of them is built only on its band and
+applied as one batched matmul over its blocks of b = ceil(w / 2) columns and
+the b + w - 1 rows that reach them, K[c + jb : c + jb + b + w - 1, c + jb :
+c + jb + b] from its first column c, which are strided views of the band
+(half as wide a block as the band computes a quarter fewer products); any
+other kernel is applied whole, as one plain product of its rows and columns.
+Each entry comes from one table of log C(r, d), built once per count at its
+widest width.  The kernels of consecutive moving steps of both populations
+are built in one batched expression of at most 2^14 entries (one kernel at a
+time once a kernel is that large), at the widest width among them, and each
+batch is used up before the next is built.  Each state move is a view of the
+state times the next kernel: the FM state P[r0, r1] moves as P @ K
+(alternatives) and (P.T @ K).T (nulls), and is kept C-contiguous for the
+strided slice that reads and clears each exit anti-diagonal r0 + r1 = m - i
++ 1; the RM null moves multiply a skewed view of the (n0, r) state that
+indexes it by (n1, r).
 
 A sweep over lambda runs many counts on one problem, (the model, m0 or pi0,
 t, F(t)), and they share their steps: the floored collection of order
 lambda equals t after step lambda, the reflected capped one equals the
-reflected t after step m - lambda + 1, and the state sizes min(m - i + 1,
-m0 or m1) depend on the step i alone.  So each count direction of a problem
-has one step source from step 1, which _steps builds (the one place that
-maps the model and SU/SD to a count layout): the state sizes, the drop and
-stay inputs of steps 2..m and the jump inputs.  A count runs a contiguous
+reflected t after step m - lambda + 1, and the windows depend on the step i
+alone.  So each count direction of a problem has one step source from step
+1, which _steps builds (the one place that maps the model and SU/SD to a
+count layout): the windows, the drop and stay inputs of steps 2..m and the
+jump inputs.  A count runs a contiguous
 range of starts lo..hi as one stack, on the kernels of the steps after lo:
 at step i the states of the starts before i move together, one batched
 matmul per population, start i joins with its jump, and one strided read
@@ -85,13 +106,14 @@ by rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
-nonzero cells, gives each cell a value and a group, and the result is one
-math.fsum of value times mass per group (one stable argsort gathers the
-groups).  FDR is the FDP payoff j/k in two groups, its step-up (k <
-lambda) and step-down parts; the FDP c.d.f. at x is the indicator of j <=
-floor(x k + 1e-12) or k = 0; the histogram puts mass 1 in the bin of the
-FDP, one group per bin; the k-FWER is the indicator of j >= k.  fsum is
-correctly rounded, so no value depends on the order of the cells.
+nonzero cells (held at the smallest unsigned type that holds m), gives each
+cell a value and a group, and the result is one math.fsum of value times
+mass per group (one stable argsort gathers the groups).  FDR is the FDP
+payoff j/k in two groups, its step-up (k < lambda) and step-down parts; the
+FDP c.d.f. at x is the indicator of j <= floor(x k + 1e-12) or k = 0; the
+histogram puts mass 1 in the bin of the FDP, one group per bin; the k-FWER
+is the indicator of j >= k.  fsum is correctly rounded, so no value depends
+on the order of the cells.
 
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
@@ -100,12 +122,10 @@ more than SUM_TOL away from 1 raises PrecisionError.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from sudfdr.models import AlternativeCdf, MixtureConfig, _as_int
@@ -251,44 +271,53 @@ def _binomial_rows(lf: np.ndarray, n: np.ndarray, log_success, log_failure) -> n
     return np.divide(rows, rows.sum(axis=1, keepdims=True), out=rows)
 
 
-def _band_widths(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """The band of each kernel: one more than the largest number of drops
-    whose probability in row n, the widest, is at least _CUT; the whole
-    kernel, n + 1, when that is more than half of it or the kernel has fewer
-    than _BANDED_MIN rows."""
-    w = n + 1
-    wide = (w >= _BANDED_MIN).nonzero()[0]
-    if not wide.size:
-        return w
-    chunk = max(1, _BATCH_ENTRIES // 4 // int(w.max()))  # _binomial_rows makes about four such tables
-    for lo in range(0, len(wide), chunk):
-        i = wide[lo : lo + chunk]
-        keep = _binomial_rows(lf, n[i], lp[i], lq[i]) >= _CUT
-        w[i] = keep.shape[1] - keep[:, ::-1].argmax(axis=1)
-    return np.where(2 * w > n + 1, n + 1, w)
+def _window(lf: np.ndarray, n: np.ndarray, p: np.ndarray) -> tuple:
+    """(lo, hi): the counts lo..hi whose Bin(n, p) probabilities are at
+    least _CUT, elementwise over the 1-D arrays n and p.
+
+    The p.m.f. rises up to its mode floor((n + 1) p) and falls after it, so
+    lo is 0 when the p.m.f. at 0 is kept, else a bisection of
+    log-probabilities on 0..mode; hi is n less the lo of Bin(n, 1 - p), and
+    both ends run as one bisection."""
+    k, success = np.concatenate((n, n)), np.concatenate((p, 1.0 - p))
+    log_success = _log(success)
+    log_failure = np.concatenate((log_success[len(p) :], log_success[: len(p)]))  # log p for the mirrored half, exactly
+    cut = math.log(_CUT)
+    lo = np.zeros(len(k), np.int64)
+    i = (k * log_failure < cut).nonzero()[0]  # the p.m.f. at 0 is cut
+    k, a = k[i], lo[i]
+    b = np.minimum((k + 1) * success[i], k).astype(np.int64)  # the mode, which is kept
+    base, slope = lf[k] + k * log_failure[i], log_success[i] - log_failure[i]
+    for _ in range(int(b.max(initial=0)).bit_length()):  # the least kept count lies in a..b
+        mid = (a + b) >> 1
+        kept = base - lf[mid] - lf[k - mid] + mid * slope >= cut
+        np.copyto(b, mid, where=kept)
+        np.add(mid, 1, out=a, where=~kept)
+    lo[i] = a
+    return lo[: len(p)], n - lo[len(p) :]
 
 
-def _binomial_batch(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarray, width: int, pad: int) -> np.ndarray:
-    """The bands of consecutive kernels: kernel b holds P(s of r points
-    stay) for r = 0..n[b], when each point drops with log-probability lp[b]
-    and stays with log-probability lq[b], renormalized over the band.
+def _binomial_batch(log_comb: np.ndarray, first: np.ndarray, last: np.ndarray, lp: np.ndarray, lq: np.ndarray, front: int, pad: int) -> np.ndarray:
+    """The bands of consecutive kernels on their rows: kernel b holds P(s of
+    r points stay) for r = first[b]..last[b], when each point drops with
+    log-probability lp[b] and stays with log-probability lq[b], renormalized
+    over the band.  log_comb[r, c] is log C(r, d) for d = width - 1 - c,
+    width = log_comb.shape[1].
 
-    Row r of kernel b is row off_b + r of the returned Z, off_b the number of
-    rows before it: Z[., width:] holds the entries s = r - width + 1 .. r in
-    ascending order and Z[., :width] is zero.  So entry (r, s) of kernel b
-    sits at flat position (off_b + 1) * 2 width - 1 + r (2 width - 1) + s,
-    which reads 0 for r < s < r + width and for r - 2 width < s <= r - width:
-    the dense square and the 2w x w diagonal blocks of any band w <= width
-    are strided views of Z.  Z ends in `pad` zero rows that those views reach.
+    Row r of kernel b is row front + off_b + r - first[b] of the returned Z,
+    off_b the number of rows before it: Z[., width:] holds the entries s = r
+    - width + 1 .. r in ascending order and Z[., :width] is zero.  So entry
+    (r, s) of kernel b sits at flat position (front + off_b - first[b] + 1) *
+    2 width - 1 + r (2 width - 1) + s, which reads 0 for r < s <= r + width
+    and for r - 2 width < s <= r - width: a dense view of the kernel and the
+    blocks of any band w <= width (see _Blocks) are strided views of Z.  Z
+    begins with `front` and ends with `pad` zero rows that those views reach.
     """
-    sizes = n + 1
+    width = log_comb.shape[1]
+    sizes = last - first + 1
     starts = sizes.cumsum() - sizes
-    rows = np.arange(starts[-1] + sizes[-1]) - starts.repeat(sizes)
+    rows = np.arange(starts[-1] + sizes[-1]) - (starts - first).repeat(sizes)
     d = np.arange(width - 1, -1, -1)
-    # log C(r, d) = log r! - log s! - log d!, s = r - d = r - width + 1 .. r,
-    # from the +inf entries that precede lf[0]; -inf where s < 0
-    window = np.ndarray((int(sizes.max()), width), _F8, lf.base, 8 * (len(lf) // 2 - width + 1), (8, 8))
-    log_comb = (lf[: len(window), None] - lf[d]) - window
     # + r log q + d log(p / q), as one rank-2 product
     coef = np.array((lq, lp - lq)).T.repeat(sizes, axis=0)
     coef[:, 0] *= rows
@@ -297,48 +326,76 @@ def _binomial_batch(lf: np.ndarray, n: np.ndarray, lp: np.ndarray, lq: np.ndarra
     band = np.zeros(logs.shape)
     np.exp(logs, out=band, where=logs > -np.inf)  # s < 0 is 0 (and slow to exponentiate)
     del logs
-    Z = np.zeros((len(rows) + pad, 2 * width))
-    np.divide(band, (band @ np.ones(width))[:, None], out=Z[: len(rows), width:])
+    Z = np.zeros((front + len(rows) + pad, 2 * width))
+    np.divide(band, (band @ np.ones(width))[:, None], out=Z[front : front + len(rows), width:])
     return Z
 
 
-def _moves(lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray):
+def _moves(lf: np.ndarray, rows: np.ndarray, cols: np.ndarray, drop: np.ndarray, stay: np.ndarray):
     """Which populations move at each step, and one iterator over their
     kernels in step order.
 
-    sizes, drop and stay are (steps, populations) arrays: a population moves
-    when drop > 0, and its kernel moves sizes + 1 states.  A dense kernel is
-    handed out as its (n + 1) square, a kernel with a narrower band as
-    _Blocks; both are strided views of one batch of consecutive kernels,
-    built at the widest band among them with at most _BATCH_ENTRIES band
-    entries (or one kernel).  A batch is freed once its last kernel has been
-    used.
+    drop and stay are (steps, populations) arrays, and rows and cols
+    (steps, populations, 2) arrays of (first, last) pairs: a population
+    moves when drop > 0, and its kernel K[r, s] = P(s of r points stay) is
+    handed out on the rows r and the columns s of the pairs, so that X @ K
+    takes a state X on the rows to one on the columns.  The band w of a
+    kernel is the smallest width that keeps every entry of its last row r =
+    n that is at least _CUT.  A kernel with at least _BANDED_MIN rows and a
+    band of at most half of them is handed out as _Blocks, any other as one
+    dense view that reads every entry of its rows at its columns.  Both are
+    strided views of one batch of consecutive kernels, built at the widest
+    width among them (the band, or the span of the dense rows and columns)
+    with at most _BATCH_ENTRIES entries (or one kernel), from one table of
+    log C(r, d) built once for the call at its widest width.  A batch is
+    freed once its last kernel has been used.
     """
     move = drop > 0.0
-    n, drop, stay = sizes[move], drop[move], stay[move]
-    lp = np.log(drop / (drop + stay))
-    lq = _log(stay / (drop + stay))
-    widths = _band_widths(lf, n, lp, lq)
+    (o, n), (clo, chi) = rows[move].T, cols[move].T
+    drop, stay = drop[move], stay[move]
+    p = drop / (drop + stay)
+    lp, lq = np.log(p), _log(stay / (drop + stay))
+    size = n - o + 1
+    widths = np.maximum(n, chi) - np.minimum(o, clo) + 1  # every entry a dense view reads
+    banded = np.zeros(len(n), bool)
+    wide = (size >= _BANDED_MIN).nonzero()[0]
+    if wide.size:
+        w = _window(lf, n[wide], p[wide])[1] + 1
+        banded[wide] = 2 * w <= size[wide]
+        widths[wide] = np.where(banded[wide], w, widths[wide])
+    if len(n):  # log C(r, d), d = widest - 1 - c, from the +inf entries that precede lf[0]
+        widest = int(widths.max())
+        d = np.arange(widest - 1, -1, -1)
+        window = np.ndarray((int(n.max()) + 1, widest), _F8, lf.base, 8 * (len(lf) // 2 - widest + 1), (8, 8))
+        log_comb = (lf[: len(window), None] - lf[d]) - window
+    # a band w is applied in blocks of b = ceil(w / 2) columns and b + w - 1
+    # rows from row clo, ceil(columns / b) of them
+    shift, span, step = o - clo, chi - clo + 1, (widths + 1) // 2
+    blocks = -(-span // step)
+    reach = blocks * step + widths - shift  # the rows from its first that a kernel's blocks reach, and a spare one
+    layout = np.array((size, shift, span, widths, step, blocks, banded))
 
     def batch(lo: int, hi: int) -> list:
-        rows, ws = (n[lo:hi] + 1).tolist(), widths[lo:hi].tolist()
-        starts = list(itertools.accumulate(rows, initial=0))
-        # the blocks of a kernel with band w span ceil(rows / w) + 1 blocks of w rows
-        reach = max((s + (-(-k // w) + 1) * w for s, k, w in zip(starts, rows, ws) if w < k), default=0)
-        W = max(ws)
-        Z = _binomial_batch(lf, n[lo:hi], lp[lo:hi], lq[lo:hi], W, max(0, reach - starts[-1]))
-        A = 8 * (2 * W)  # bytes per row of Z; entry (0, 0) of a kernel sits at byte s * A + A - 8
+        at = size[lo:hi].cumsum() - size[lo:hi]  # the rows before each kernel
+        front, pad = 0, 1
+        if banded[lo:hi].any():  # the zero rows the blocks reach before and after the batch's rows
+            g = banded[lo:hi]
+            front = max(0, int(np.max(shift[lo:hi][g] - at[g])))
+            pad = max(1, int(np.max(reach[lo:hi][g] + at[g])) - int(at[-1] + size[hi - 1]))
+        W = int(widths[lo:hi].max())
+        Z = _binomial_batch(log_comb[:, widest - W :], o[lo:hi], n[lo:hi], lp[lo:hi], lq[lo:hi], front, pad)
+        A = 8 * (2 * W)  # bytes per row of Z; entry (r, r) of a kernel sits at byte (its row of r) * A + A - 8
         return [
-            np.ndarray((w, w), _F8, Z, s * A + A - 8, (A - 8, 8))
-            if w == k
-            else _Blocks(np.ndarray((-(-k // w), 2 * w, w), _F8, Z, s * A + A - 8, (w * A, A - 8, 8)))
-            for s, k, w in zip(starts, rows, ws)
+            _Blocks(np.ndarray((nb, b + w - 1, b), _F8, Z, (s - sh + 1) * A - 8, (b * A, A - 8, 8)), sh, c)
+            if g
+            else np.ndarray((r, c), _F8, Z, (s + 1) * A - 8 * (sh + 1), (A - 8, 8))
+            for s, (r, sh, c, w, b, nb, g) in zip((at + front).tolist(), layout[:, lo:hi].T.tolist())
         ]
 
     def kernels():
         lo = 0
         while lo < len(n):
-            entries = (n[lo:] + 1).cumsum() * np.maximum.accumulate(widths[lo:])
+            entries = size[lo:].cumsum() * np.maximum.accumulate(widths[lo:])
             hi = lo + max(1, int(entries.searchsorted(_BATCH_ENTRIES, side="right")))
             yield from batch(lo, hi)
             lo = hi
@@ -347,68 +404,101 @@ def _moves(lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray
 
 
 class _Blocks:
-    """A kernel K with band w, held as its diagonal blocks B[j] = K[jw : jw +
-    2w, jw : jw + w] (strided views of its batch).  It defines one product,
-    X @ K, as one batched matmul over the blocks: column block j of X @ K is
-    X[..., jw : jw + 2w] @ B[j], with X copied into a buffer padded with zero
-    columns, so X may be narrower than K or carry extra zero columns, and
-    may be a stack of matrices."""
+    """A kernel K with band w, held as its blocks B[j] = K[c + jb : c + jb +
+    h, c + jb : c + jb + b] of b columns and h = b + w - 1 rows, which hold
+    every entry of the band in those columns (strided views of its batch), c
+    its first column.  It defines one product, X @ K, for an X on the rows c
+    + shift.. of K, as one batched matmul over the blocks: column block j of
+    X @ K is X[..., jb - shift : jb + h - shift] @ B[j], with X copied into a
+    buffer padded with zero columns; the product keeps the first `cols`
+    columns.  X may be a stack of matrices."""
 
     __array_ufunc__ = None  # ndarray @ _Blocks defers to _Blocks.__rmatmul__
 
-    def __init__(self, B: np.ndarray):
-        self.B = B
+    def __init__(self, B: np.ndarray, shift: int, cols: int):
+        self.B, self.shift, self.cols = B, shift, cols
 
     def __rmatmul__(self, X: np.ndarray) -> np.ndarray:  # X @ K
-        blocks, h, w = self.B.shape
+        blocks, h, b = self.B.shape
         *stack, r = X.shape[:-1]
-        c = (blocks + 1) * w
+        c = blocks * b + h - b
         Xp = np.zeros((*stack, r, c))
-        Xp[..., : X.shape[-1]] = X
-        out = np.empty((*stack, r, blocks * w))
-        view = np.ndarray((*stack, blocks, r, h), float, Xp, 0, (*Xp.strides[:-2], 8 * w, 8 * c, 8))
-        np.matmul(view, self.B, out=out.reshape(*stack, r, blocks, w).swapaxes(-3, -2))
-        return out
+        skip, at = max(0, -self.shift), max(0, self.shift)
+        k = max(0, min(X.shape[-1] - skip, c - at))
+        Xp[..., at : at + k] = X[..., skip : skip + k]
+        out = np.empty((*stack, r, blocks * b))
+        view = np.ndarray((*stack, blocks, r, h), float, Xp, 0, (*Xp.strides[:-2], 8 * b, 8 * c, 8))
+        np.matmul(view, self.B, out=out.reshape(*stack, r, blocks, b).swapaxes(-3, -2))
+        return out[..., : self.cols]
+
+
+def _rewindow(X: np.ndarray, lo: int, new: tuple) -> np.ndarray:
+    """X, whose last axis holds the counts lo.., on the counts new[0]..new[1]:
+    a view when X holds them all, else a copy with zeros where it holds none."""
+    a, b = new
+    if lo <= a and b < lo + X.shape[-1]:
+        return X[..., a - lo : b - lo + 1]
+    out = np.zeros((*X.shape[:-1], b - a + 1))
+    f, t = max(a, lo), min(b, lo + X.shape[-1] - 1)
+    if f <= t:
+        out[..., f - a : t - a + 1] = X[..., f - lo : t - lo + 1]
+    return out
 
 
 class _Steps:
-    """One count direction of a problem from step 1, streamed.  sizes[i - 1]
-    bounds the state of step i (the nulls and alternatives above t_i in the
-    FM layout, the points above it, twice, in the RM one); drop and stay are
-    the _moves inputs of steps 2..m.  jumps(lo, hi) builds the jump inputs
-    of the starts lo + 1..hi: a binomial pair in the FM layout (see
-    _fm_steps), and in the RM one the null and alternative weights below
-    t_start and the weight above it.  count is the count of its layout,
-    _sd_fm_masses or _sd_rm_masses.  split(top), of the RM step-up law only,
-    builds the null split of ranks 0..top (see _rm_split)."""
+    """One count direction of a problem from step 1, streamed.  win[i - 1]
+    holds the (first, last) count of each state axis at step i (the nulls
+    and alternatives above t_i in the FM layout, the nulls below and the
+    points above it in the RM one): every cell outside it is below _CUT,
+    and the count keeps only the cells inside.  rows and cols are the
+    _moves windows of the kernels of steps 2..m, and drop and stay their
+    inputs.  width is the number of null counts of the count's table.
+    jumps(lo, hi) builds the jump inputs of the starts lo + 1..hi: a
+    binomial pair in the FM layout (see _fm_steps), and in the RM one the
+    null and alternative weights below t_start and the weight above it.
+    count is the count of its layout, _sd_fm_masses or _sd_rm_masses.
+    split(top), of the RM step-up law only, builds the null split of ranks
+    0..top (see _rm_split)."""
 
-    def __init__(self, lf: np.ndarray, sizes: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, count, split=None):
-        self.lf, self.sizes, self.drop, self.stay = lf, sizes, drop, stay
-        self.jumps, self.count, self.split = jumps, count, split
+    def __init__(self, lf: np.ndarray, width: int, win: np.ndarray, rows: np.ndarray, cols: np.ndarray, drop: np.ndarray, stay: np.ndarray, jumps, count, split=None):
+        self.lf, self.width, self.win, self.rows, self.cols = lf, width, win, rows, cols
+        self.drop, self.stay, self.jumps, self.count, self.split = drop, stay, jumps, count, split
 
     def after(self, start: int):
         """The move flags and the kernels of the steps after `start`, as _moves hands them out."""
-        if start == len(self.sizes):  # nothing moves after the last step
+        if start == len(self.win):  # nothing moves after the last step
             return [], iter(())
-        return _moves(self.lf, self.sizes[start:], self.drop[start - 1 :], self.stay[start - 1 :])
+        s = slice(start - 1, None)
+        return _moves(self.lf, self.rows[s], self.cols[s], self.drop[s], self.stay[s])
+
+
+def _clip(lo: np.ndarray, hi: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The windows (lo, hi) of two axes, as (steps, 2, 2) (first, last)
+    pairs, with each last count at most top less the other axis's first
+    (the cells beyond hold no mass) and never below its first."""
+    hi = np.maximum(np.minimum(hi, top[:, None] - lo[:, ::-1]), lo)
+    return np.stack((lo, hi), axis=-1)
 
 
 def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
     """The FM-layout steps of m0 nulls and len(u0) - m0 alternatives, which
     lie below the i-th threshold with probabilities u0[i-1] and u1[i-1].
-    The jump rows of start s are Bin(m0, 1 - u0[s-1]) and Bin(m - m0, 1 -
-    u1[s-1]), the nulls and alternatives that stay above, built for many
-    starts in one _binomial_rows call."""
+    At step i every count state is a sub-measure of Bin(m0, 1 - u0[i-1]) x
+    Bin(m - m0, 1 - u1[i-1]), the nulls and alternatives above t_i, so its
+    window is the product of the two marginal windows, clipped to the
+    triangle r0 + r1 <= m - i + 1.  The jump rows of start s are those two
+    binomials, built for many starts in one _binomial_rows call."""
     m = len(u0)
     lf = _log_factorials(max(m0, m - m0))
     v = np.array((u0, u1)).T
-    sizes = np.minimum(np.arange(m, 0, -1)[:, None], (m0, m - m0))  # at most the points above, of each population
+    lo, hi = _window(lf, np.tile((m0, m - m0), m), (1.0 - v).ravel())
+    win = _clip(lo.reshape(m, 2), hi.reshape(m, 2), np.arange(m, 0, -1))
 
     def jumps(lo: int, hi: int) -> np.ndarray:
         logs = _log(np.array((1.0 - v[lo:hi], v[lo:hi]))).reshape(2, -1)
         return _binomial_rows(lf, np.tile((m0, m - m0), hi - lo), *logs).reshape(hi - lo, 2, -1)
 
-    return _Steps(lf, sizes, v[1:] - v[:-1], 1.0 - v[1:], jumps, _sd_fm_masses, split)
+    return _Steps(lf, m0 + 1, win, win[:-1], win[1:], v[1:] - v[:-1], 1.0 - v[1:], jumps, _sd_fm_masses, split)
 
 
 def _exit_rows(m: int, lo: int, hi: int) -> list:
@@ -431,58 +521,62 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     step 1 is the (m + 1, m0 + 1) table M[k, j] = P(the first i with fewer
     than i points below is k + 1, and j nulls lie below it), with k = m when
     there is no such i.  The state P[r0, r1] holds the nulls and
-    alternatives still above the threshold.  With m0 = 0 (and u0 = 0) it is
-    the one-population count of m points below t_i with probability
-    u1[i-1]: its state is the one row P[0, r], and M[:, 0] is its exit law.
+    alternatives still above the threshold, on the step's window: at step i
+    it holds the cells (lo0 + x, lo1 + y) of win[i - 1].  With m0 = 0 (and
+    u0 = 0) it is the one-population count of m points below t_i with
+    probability u1[i-1]: its state is one row, and M[:, 0] is its exit law.
 
     The count from step s starts there with one jump of every point to
     u[s-1], and cuts the states that would have left before it; when the
     first s thresholds are tied this is exact for the rows k >= s - 1, the
     only rows it returns.  The starts run as one stack of states: at step i
     those of the starts before i move together, one batched matmul per
-    population, start i joins with its jump, and one strided read takes and
-    clears the exit anti-diagonal of every state.  The returned table holds
-    the rows k >= s - 1 of each start s, step by step (see _exit_rows); from
-    the one start 1 it is the whole M.
+    population from the last window to this one, start i joins with its
+    jump, and one strided read takes and clears the exit anti-diagonal of
+    every state.  The returned table holds the rows k >= s - 1 of each start
+    s, step by step (see _exit_rows); from the one start 1 it is the whole
+    M.
     """
     hi = lo if hi is None else hi
-    m = len(steps.sizes)
-    m0 = int(steps.sizes[0, 0])
+    m, win = len(steps.win), steps.win.reshape(-1, 4).tolist()
     move, K = steps.after(lo)
-    # every start's state holds its jump from the outset, cut to the states
-    # with at most m - start + 1 points above: until its step (when it
-    # joins), no move or read reaches it
-    A, B = (steps.sizes[lo - 1] + 1).tolist()
+    # every start's jump on the box of their windows, cut to the states with
+    # at most m - start + 1 points above
+    (f0, f1), (t0, t1) = steps.win[lo - 1 : hi, :, 0].min(axis=0), steps.win[lo - 1 : hi, :, 1].max(axis=0)
     jumps = steps.jumps(lo - 1, hi)
-    P = jumps[:, 0, :A, None] * jumps[:, 1, None, :B]
-    if A + B - 2 > m - hi + 1:
-        P[np.add.outer(np.arange(A), np.arange(B)) > np.arange(m - lo + 1, m - hi, -1)[:, None, None]] = 0.0
+    J = jumps[:, 0, f0 : t0 + 1, None] * jumps[:, 1, None, f1 : t1 + 1]
+    if t0 + t1 > m - hi + 1:
+        J[np.add.outer(np.arange(f0, t0 + 1), np.arange(f1, t1 + 1)) > np.arange(m - lo + 1, m - hi, -1)[:, None, None]] = 0.0
+    del jumps
     first = _exit_rows(m, lo, hi)
-    out = np.zeros((first[-1] + len(P), m0 + 1))
+    out = np.zeros((first[-1] + len(J), steps.width))
     by_r0 = out[:, ::-1]  # by_r0[., r0] = out[., m0 - r0]: r0 nulls above, m0 - r0 below
-    for i, (a, b) in enumerate(steps.sizes[lo - 1 :].tolist(), lo):
+    for i, (lo0, hi0, lo1, hi1) in enumerate(win[lo - 1 :], lo):
         L = m - i + 1
-        n = min(i, hi + 1) - lo  # the starts before i
-        if n:
-            X = P[:n, : a + 1, : b + 1]
+        if i > lo:
+            was0, _, was1, _ = win[i - 2]
             move0, move1 = move[i - lo - 1]
-            if move0:  # a banded kernel's product may carry extra zero rows and columns
-                X = (X.mT @ next(K)).mT
-            if move1:
-                X = X[:, : a + 1, : b + 1] @ next(K)
-            if i <= hi:  # P still holds the jumps of the starts to come
-                P[:n, : a + 1, : b + 1] = X[:, : a + 1, : b + 1]
-            else:
-                P = np.ascontiguousarray(X)
-        n += i <= hi  # and start i, at its jump
-        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i),
-        # r0 = L - b..a, leaves; P is C-contiguous and may carry extra zero
-        # rows and columns, so cell (r0, L - r0) sits at flat L + r0 c
-        c = P.shape[2] - 1
-        exits = P.reshape(len(P), -1)[:n, L + (L - b) * c : L + a * c + 1 : c or 1]
-        by_r0[first[i - lo] : first[i - lo] + n, L - b : a + 1] = exits
-        exits.fill(0.0)
-    out[first[-1] :, m0] = P[:, 0, 0]
+            P = (P.mT @ next(K)).mT if move0 else _rewindow(P.mT, was0, (lo0, hi0)).mT
+            P = P @ next(K) if move1 else _rewindow(P, was1, (lo1, hi1))
+        if i <= hi:  # start i joins
+            jump = J[i - lo : i - lo + 1, lo0 - f0 : hi0 - f0 + 1, lo1 - f1 : hi1 - f1 + 1]
+            P = np.ascontiguousarray(jump) if i == lo else np.concatenate((P, jump))
+            if i == hi:  # free the jumps once the last start has joined
+                del J, jump
+        else:
+            P = np.ascontiguousarray(P)
+        # the anti-diagonal r0 + r1 = L (exactly i - 1 points below t_i) leaves;
+        # P is C-contiguous, so cell (r0, L - r0) sits at flat
+        # (r0 - lo0) c + L - r0 - lo1, c the row length
+        f, t = max(lo0, L - hi1), min(hi0, L - lo1)
+        if f <= t:
+            c = P.shape[2]
+            at = (f - lo0) * c + L - f - lo1
+            exits = P.reshape(len(P), -1)[:, at : at + (t - f) * (c - 1) + 1 : max(c - 1, 1)]
+            by_r0[first[i - lo] : first[i - lo] + len(P), f : t + 1] = exits
+            exits.fill(0.0)
+    if lo0 == lo1 == 0:  # the cell (0, 0), no point above t_m
+        out[first[-1] :, -1] = P[:, 0, 0]
     return out
 
 
@@ -492,56 +586,78 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     starts, the same stack and the same rows.
 
     The state P[n0, r] holds the nulls below and the points above the
-    threshold.  The points that drop below are split into nulls, moved in
-    the (n1, r) layout where n1 = m - n0 - r stays fixed, and alternatives,
-    moved in the (n0, r) layout.  Both layouts are views of one buffer per
-    start: P sits below `pad` zero rows, and S[n1, r] = P[m - n1 - r, r] is
-    a skewed view that reaches into them where n0 would be negative.
+    threshold, on the step's window.  The points that drop below are split
+    into nulls, moved in the (n1, r) layout where n1 = m - n0 - r stays
+    fixed, and alternatives, moved in the (n0, r) layout.  The null move of
+    step i takes the rows r of the last window to the columns from this
+    window's first r up: it runs on a skewed view S[n1, r] of a buffer in
+    the (n0, r) layout that holds the last state on the rows n0 that can
+    reach this window, with zero rows where n0 reaches past them.
     """
     hi = lo if hi is None else hi
-    m = len(steps.sizes)
+    m, win = len(steps.win), steps.win.reshape(-1, 4).tolist()
     move, K = steps.after(lo)
-    pad = m - lo + 1
-    Z = np.zeros((hi - lo + 1, pad + m + 1, pad + 1))
-    P = Z[:, pad:]
-    row, col = Z.strides[1:]
-    S = as_strided(Z[:, pad + m :], (len(Z), m + 1, pad + 1), (Z.strides[0], -row, col - row))
-    # the jumps: r of the m points stay above, and n0 of the m - r that drop
-    # are nulls.  Start s has m - s + 3 rows q, in one _binomial_rows call:
-    # q = 0 is the stay row of all m points, q = 1 + r the split of m - r.
-    # Each start's state holds its jump from the outset, as in _sd_fm_masses.
+    # every start's jump on the box of their windows, n0 = na..nb and r =
+    # ra..rb: r of the m points stay above, and n0 of the m - r that drop are
+    # nulls.  Start s has a row q = 0, the stay row of all m points, and a
+    # row q = 1 + r - ra, the split of the m - r that drop, for each r up to
+    # m - s + 1 (no more points may stay above), all in one _binomial_rows
+    # call.
     w0, w1, above = steps.jumps(lo - 1, hi).T
     drop = w0 + w1
     hit = drop > 0.0
     null = np.divide(w0, drop, out=np.zeros(len(drop)), where=hit)
     alt = np.divide(w1, drop, out=np.ones(len(drop)), where=hit)
     logs = _log(np.array((above / (drop + above), drop / (drop + above), null, alt)))
-    size = m + 3 - np.arange(lo, hi + 1)
+    (na, ra), (nb, rb) = steps.win[lo - 1 : hi, :, 0].min(axis=0), steps.win[lo - 1 : hi, :, 1].max(axis=0)
+    size = np.maximum(np.minimum(rb, np.arange(m - lo + 1, m - hi, -1)) - ra + 2, 1)
     at = size.cumsum() - size  # the stay row of each start
     q = np.arange(at[-1] + size[-1]) - at.repeat(size)
     by_row = logs[2:].repeat(size, axis=1)
     by_row[:, at] = logs[:2]
-    rows = _binomial_rows(_log_factorials(m), m + 1 - np.maximum(q, 1), *by_row)
-    for n, (f, L) in enumerate(zip(at.tolist(), range(pad, pad - len(Z), -1))):
-        jump = rows[f : f + L + 2]
-        P[n, :, : L + 1] = np.multiply(jump[1:], jump[0, : L + 1, None], out=jump[1:]).T
-    del rows, jump
+    r = ra - 1 + q
+    rows = _binomial_rows(_log_factorials(m), np.where(q > 0, m - r, m), *by_row)
+    splits = q > 0
+    start, r = np.arange(len(size)).repeat(size)[splits], r[splits]
+    J = np.zeros((len(size), nb - na + 1, rb - ra + 1))
+    J[start, :, r - ra] = rows[splits, na : nb + 1] * rows[at[start], r][:, None]
+    del rows
     first = _exit_rows(m, lo, hi)
-    out = np.zeros((first[-1] + len(Z), m + 1))
-    for i in range(lo, m + 1):
+    out = np.zeros((first[-1] + len(J), steps.width))
+    for i, (A0, A1, B0, B1) in enumerate(win[lo - 1 :], lo):
         L = m - i + 1
         n = min(i, hi + 1) - lo  # the starts before i
+        # the state of step i lives in a buffer whose columns are the points
+        # above after the next null move, r = c..B1, and whose rows n0 =
+        # nu..top hold this window's A0..A1 and every row the next skewed
+        # view reads: X rows n1 = m - A - c - x >= 0 of C columns
+        c, nu, top = B0, A0, A1
+        if i < m:
+            A, A1n, c, _ = win[i]
+            C = B1 - c + 1
+            X = min(A1n - A + C, m - A - c + 1)
+            nu, top = min(A0, A - C + 1), max(A1, A + X - 1)
+        buf = np.zeros((n + (i <= hi), top - nu + 1, B1 - c + 1))
+        P = buf[:, A0 - nu : A1 - nu + 1, B0 - c :]
         if n:
             move0, move1 = move[i - lo - 1]
-            if move0:
-                shear = S[:n, :, : L + 1]
-                shear[...] = (shear @ next(K))[:, :, : L + 1]
-            if move1:
-                P[:n, :, : L + 1] = (P[:n, :, : L + 1] @ next(K))[:, :, : L + 1]
-        n += i <= hi  # and start i, at its jump
-        out[first[i - lo] : first[i - lo] + n] = P[:n, :, L]
-        P[:n, :, L] = 0.0
-    out[first[-1] :] = P[:, :, 0]
+            b0 = win[i - 2][2]
+            if move0:  # S[., x, y] = last[., n0 - nu_, y] at n0 = A0 + x - y: n1 = m - A0 - B0 - x, r = B0 + y
+                S = np.ndarray((n, X_, C_), _F8, last, 8 * (A0 - nu_) * C_, (last.strides[0], 8 * C_, 8 * (1 - C_)))
+                S[...] = S[..., b0 - B0 :] @ next(K)
+            Q = last[:, A0 - nu_ : A1 - nu_ + 1]  # n0 = A0..A1, r = B0..b1
+            P[:n] = Q @ next(K) if move1 else Q[..., : B1 - B0 + 1]
+        if i <= hi:  # start i joins
+            P[n] = J[i - lo, A0 - na : A1 - na + 1, B0 - ra : B1 - ra + 1]
+            if i == hi:  # free the jumps once the last start has joined
+                del J
+        if B0 <= L <= B1:  # the column r = L (exactly i - 1 points below t_i) leaves
+            out[first[i - lo] : first[i - lo] + len(P), A0 : A1 + 1] = P[:, :, L - B0]
+            P[:, :, L - B0] = 0.0
+        if i < m:
+            last, nu_, X_, C_ = buf, nu, X, C
+    if B0 == 0:  # the column r = 0, no point above t_m
+        out[first[-1] :, A0 : A1 + 1] = P[:, :, 0]
     return out
 
 
@@ -578,8 +694,21 @@ def _steps(procedure: str, t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig) ->
         # both populations hold the live points; the drops split into nulls and alternatives
         drop = np.array((pi0 * (t[1:] - t[:-1]), (1.0 - pi0) * (Fv[1:] - Fv[:-1]))).T
         stay = np.array((drop[:, 1] + v[1:, 2], v[1:, 2])).T
-        sizes = np.arange(m, 0, -1)[:, None].repeat(2, axis=1)
-        return _Steps(_log_factorials(m), sizes, drop, stay, lambda lo, hi: v[lo:hi], _sd_rm_masses)
+        # the window of step i: the nulls below t_i and the points above it,
+        # Bin(m, pi0 t_i) and Bin(m, 1 - G(t_i)), with at most m - i + 1
+        # points above and at most m points in all; the points above never
+        # grow, and both ends of their window fall step by step
+        lf = _log_factorials(m)
+        lo, hi = (x.reshape(m, 2) for x in _window(lf, np.full(2 * m, m), v[:, ::2].ravel()))
+        lo[:, 1] = np.minimum.accumulate(lo[:, 1])
+        hi[:, 1] = np.minimum(hi[:, 1], np.arange(m, 0, -1))
+        win = _clip(lo, hi, np.full(m, m))
+        win[:, 1, 1] = np.maximum(np.minimum.accumulate(win[:, 1, 1]), win[:, 1, 0])
+        # the null move takes the points above from the last window to this
+        # window's first count up, and the alternative move on to this window
+        r = win[:, 1]
+        mid = np.array((r[1:, 0], r[:-1, 1])).T
+        return _Steps(lf, m + 1, win, np.stack((r[:-1], mid), axis=1), np.stack((mid, r[1:]), axis=1), drop, stay, lambda lo, hi: v[lo:hi], _sd_rm_masses)
     if cfg.model == "RM":
         above = (cfg.pi0 * (1.0 - t) + (1.0 - cfg.pi0) * (1.0 - Fv))[::-1]
         return _fm_steps(np.zeros(m), above, 0, lambda top: _rm_split(_log_factorials(m), t[:top], Fv[:top], cfg.pi0))
@@ -700,9 +829,13 @@ def _expect(t: ThresholdCollection, lam: int, cfg: MixtureConfig, payoff, groups
     side, cells = len(masses), np.flatnonzero(masses)
     mass = masses.ravel()[cells]
     del masses  # the rest reads only the nonzero cells
-    value, group = payoff(*np.divmod(cells, side))
+    k = np.empty(len(cells), np.min_scalar_type(side - 1))  # k and j <= m: every payoff widens them to float64
+    j = np.empty_like(k)
+    np.divmod(cells, side, out=(k, j), casting="unsafe")
+    del cells
+    value, group = payoff(k, j)
     terms = value * mass
-    del cells, mass, value  # the sort and the list below need only the terms
+    del k, j, mass, value  # the sort and the list below need only the terms
     group = np.full(terms.shape, group)
     order = np.argsort(group, kind="stable")
     terms = terms[order].tolist()
