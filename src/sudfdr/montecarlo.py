@@ -1,15 +1,27 @@
 """Seeded Monte-Carlo estimation of FDR, FDP distribution, and k-FWER.
 
-Plain Monte-Carlo only: it is the independent oracle for the exact formulas
-and must stay simple.  Replicates are generated in fixed-size chunks, each
-chunk drawing from its own RNG stream derived from (seed, chunk index), so a
-run is bit-reproducible given (seed, n, config) no matter how the chunks are
-scheduled.  Chunk aggregates are combined with exact (fsum) accumulation.
+Plain Monte-Carlo only: it is the independent oracle for the exact
+formulas.  Replicates are generated in fixed-size chunks, each chunk
+drawing from its own RNG stream derived from (seed, chunk index), so a run
+is bit-reproducible given (seed, n, config).  Chunk aggregates are combined
+with exact (fsum) accumulation.
 
-A chunk streams through cache-sized blocks of rows (BLOCK keys each):
-every block is sampled, transformed, keyed, sorted and transposed before
-the next is drawn, so the chunk's float64 sample and int64 keys never
-exist whole.  The SUD rule rejects exactly the k_hat smallest p-values:
+A chunk streams through cache-sized blocks of rows.  The calling thread
+draws every block's uniforms from the chunk's stream, in stream order, and
+hands each to a worker of a module-level thread pool, one worker per CPU
+the process may run on, made on first use.  The worker transforms, keys,
+sorts and transposes its block into its own columns of the chunk's tables,
+so the chunk's float64 sample and int64 keys never exist whole.  At most
+two blocks per worker are in flight: after handing on a block the draw
+waits for the oldest before it draws another.  With w workers a block
+holds BLOCK // w keys, so the blocks in flight hold at most 2 BLOCK keys
+on any host.  Every block is joined before the reduce, which runs on the
+calling thread over the whole tables in a fixed order.  A block's values
+depend only on its uniforms and each table cell on one block, so every
+output is the same for any worker count, block size and schedule.  A
+worker's exception is raised again on the calling thread.
+
+The SUD rule rejects exactly the k_hat smallest p-values:
 p_(k_hat) <= t_k_hat < p_(k_hat+1) in both of its branches, so no tie
 straddles the cut, and the false rejections V are the nulls among the
 k_hat smallest.  The sort therefore carries each p-value's null flag:
@@ -35,12 +47,16 @@ tables are freed before the next chunk is sampled.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from sudfdr.exact import _fdp_bin
-from sudfdr.models import MixtureConfig, _as_int, sample_blocks
+from sudfdr.models import MixtureConfig, _as_int, draw_blocks, transform_block
 from sudfdr.thresholds import ThresholdCollection
 
 __all__ = [
@@ -55,10 +71,13 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-BLOCK = 1 << 15  # keys per block of a chunk's sample, sort and transpose
+BLOCK = 1 << 15  # keys per block on one worker; w workers take blocks of BLOCK // w
+
+_pool = None  # (pid, workers, executor), made on first use
+_pool_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McEstimate:
     mean: float
     std_error: float | None
@@ -80,31 +99,60 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _executor():
+    """The worker count, one per CPU this process may run on, and the pool
+    of block workers.  Made on first use, and again in a forked child,
+    whose copy of the parent's pool has no threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            _pool = (os.getpid(), workers, ThreadPoolExecutor(workers, thread_name_prefix="sudfdr-mc"))
+        return _pool[1:]
+
+
 def _chunk_outcomes(rng, cfg: MixtureConfig, size: int, bound: np.ndarray, orders: list):
     """Sample one chunk a block of rows at a time and yield (lam, khat, v)
     for each order: every replicate's SUD rank and false rejections.
 
-    Each block's keys are sorted in place and written, transposed, into the
-    chunk's rank-major tables: the clearance matrix, and in rows 1..m of
-    nulls the null flags of ranks 1..m, which m row adds turn into nulls[k]
-    = the nulls among the k smallest p-values.  A key is the p-value's bit
-    pattern shifted left over its null flag, so p <= t exactly when key <=
-    bound = (bits of t) << 1 | 1.
+    A worker sorts each block's keys in place and writes them, transposed,
+    into the block's columns of the chunk's rank-major tables: the
+    clearance matrix, and in rows 1..m of nulls the null flags of ranks
+    1..m, which m row adds turn into nulls[k] = the nulls among the k
+    smallest p-values.  A key is the p-value's bit pattern shifted left
+    over its null flag, so p <= t exactly when key <= bound = (bits of t)
+    << 1 | 1.
     """
     m = cfg.m
     cleared = np.empty((m, size), dtype=bool)
     nulls = np.empty((m + 1, size), dtype=np.min_scalar_type(m))
     nulls[0] = 0
-    start = 0
-    for p, null_mask in sample_blocks(rng, cfg, size, max(1, BLOCK // m)):
-        key = p.view(np.int64)
+
+    def place(start, u, null_mask):
+        key = transform_block(cfg, u, null_mask).view(np.int64)
         key <<= 1
         key |= null_mask
         key.sort(axis=1)
         stop = start + len(key)
         cleared[:, start:stop] = (key <= bound).T
-        nulls[1:, start:stop] = (key & 1).T
-        start = stop
+        key &= 1
+        nulls[1:, start:stop] = key.T
+
+    workers, pool = _executor()
+    pending = deque()
+    start = 0
+    try:
+        for u, null_mask in draw_blocks(rng, cfg, size, max(1, BLOCK // (m * workers))):
+            pending.append(pool.submit(place, start, u, null_mask))
+            start += len(u)
+            if len(pending) == 2 * workers:  # wait before drawing another
+                pending.popleft().result()
+        while pending:
+            pending.popleft().result()
+    finally:  # after a failure, no block outlives the call
+        for future in pending:
+            future.cancel()
+        wait(pending)
     for k in range(m):
         nulls[k + 1] += nulls[k]
     khat = _khat_rows(cleared, orders)
@@ -249,13 +297,13 @@ def simulate_joint_counts(
     """Counts of (khat, false rejections) over n replicates; shape (m+1, m+1).
 
     With lam = m this samples the step-up joint law, with lam = 1 the
-    step-down one.
+    step-down one.  The counts are int32, or int64 from n = 2^31 on.
     """
     side = t.m + 1
     counts = np.zeros(side * side, dtype=np.int64)
     for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
         counts += np.bincount(khat.astype(np.intp) * side + v, minlength=side * side)
-    return counts.reshape(side, side)
+    return counts.reshape(side, side).astype(np.int32 if n < 1 << 31 else np.int64)
 
 
 def cross_validate(exact_value: float, mc: McEstimate, sigmas: float) -> VerdictReport:

@@ -793,10 +793,10 @@ def test_the_window_drops_only_cells_below_the_cut(monkeypatch, m):
 )
 def test_engine_peak_memory_is_bounded(cfg, lam, bound):
     # in units of one (m+1)^2 float64 table, measured under tracemalloc on
-    # an emptied slot: 2.29, 2.23, 4.60 and 5.79.  The FM bounds sit below
+    # an emptied slot: 2.26, 2.06, 3.69 and 3.68.  The FM bounds sit below
     # 3.50 and 3.16, the peaks of an FM count that returns a square table
     # instead of its m0 + 1 admissible columns.  The last case is the RM
-    # step-down count's jump from step 1, the engine's largest peak.
+    # step-down count's jump from step 1.
     t = from_rho(LinearCurve(0.5), cfg.m)
     tracemalloc.start()
     try:

@@ -15,9 +15,10 @@ from sudfdr.models import (
     cdf_from_config,
     eval_G,
     mixture_from_config,
+    draw_blocks,
     sample,
-    sample_blocks,
     sample_families,
+    transform_block,
 )
 from sudfdr.thresholds import LinearCurve, from_rho
 
@@ -234,7 +235,7 @@ def test_blocked_sampling_equals_one_draw(F, model, rows):
     )
     size = 300
     p, null_mask = sample_families(np.random.default_rng(5), cfg, size)
-    blocks = list(sample_blocks(np.random.default_rng(5), cfg, size, rows))
+    blocks = [(transform_block(cfg, u, mask), mask) for u, mask in draw_blocks(np.random.default_rng(5), cfg, size, rows)]
     assert [len(b) for b, _ in blocks] == [min(rows, size - s) for s in range(0, size, rows)]
     assert np.concatenate([b for b, _ in blocks]).tobytes() == p.tobytes()
     np.testing.assert_array_equal(np.concatenate([mask for _, mask in blocks]), null_mask)

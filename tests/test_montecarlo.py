@@ -1,13 +1,23 @@
 import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sudfdr
+from sudfdr import montecarlo
 from sudfdr.exact import fdr_sud, joint_pmf, step_at_one_closed_forms
 from sudfdr.models import (
+    AlternativeCdf,
     DiracZeroCdf,
     GaussianLocationCdf,
     IdentityCdf,
@@ -402,3 +412,130 @@ def test_streamed_chunk_peak_memory(model, n):
     unit = min(n, CHUNK) * m * 8
     assert peaks["single"] <= 0.5 * unit
     assert peaks["sweep"] <= 0.9 * unit
+
+
+def _every_output(t, cfg, n):
+    lam = t.m // 2
+    sweep = simulate_fdr_sweep(t, range(1, t.m + 1), cfg, n, seed=31)
+    hist = simulate_fdp_hist(t, lam, cfg, n, bins=7, seed=32)
+    return (
+        [(e.mean, e.std_error) for e in sweep.values()],
+        (hist.mean, hist.std_error, hist.per_bin),
+        simulate_joint_counts(t, lam, cfg, n, seed=33).tobytes(),
+        simulate_kfwer(t, lam, cfg, k=2, n=n, seed=34).mean,
+    )
+
+
+@pytest.mark.parametrize("m, n", [(10, CHUNK + 5000), (100, 1 << 14)], ids=["two-chunks", "one-chunk"])
+@pytest.mark.parametrize("F", [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf()], ids=lambda F: F.kind)
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_outputs_do_not_depend_on_the_worker_count(model, F, m, n, monkeypatch):
+    # one worker takes whole blocks in turn; three, more than the host may
+    # have CPUs, take smaller blocks and race to finish them, switching
+    # threads often
+    t = from_rho(LinearCurve(0.5), m)
+    cfg = _fm(F, m, int(0.7 * m)) if model == "FM" else MixtureConfig(model="RM", m=m, pi0=0.7, F=F)
+    default = _every_output(t, cfg, n)
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(montecarlo, "_pool", (os.getpid(), workers, pool))
+                sys.setswitchinterval(1e-5 if workers > 1 else interval)
+                assert _every_output(t, cfg, n) == default
+            monkeypatch.undo()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Broken(Exception):
+    pass
+
+
+class _FailsOnOneBlock(AlternativeCdf):
+    """Raises on the block with index `fail_at`; counts its calls."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.calls = itertools.count()
+
+    def quantile(self, u):
+        if next(self.calls) == self.fail_at:
+            raise _Broken("quantile failed")
+        return u
+
+
+@pytest.mark.parametrize("where", ["third", "last"])
+@pytest.mark.parametrize("model", ["FM", "RM"])
+def test_a_worker_exception_reaches_the_caller_and_the_next_call_succeeds(model, where):
+    m, n = 100, 1 << 14
+    t = from_rho(LinearCurve(0.5), m)
+    workers, _ = montecarlo._executor()
+    blocks = -(-n // max(1, montecarlo.BLOCK // (m * workers)))
+    F = _FailsOnOneBlock(2 if where == "third" else blocks - 1)
+    cfg = _fm(F, m, 70) if model == "FM" else MixtureConfig(model="RM", m=m, pi0=0.7, F=F)
+    with pytest.raises(_Broken, match="quantile failed"):
+        simulate_fdr(t, m, cfg, n, seed=1)
+    done = next(F.calls)
+    time.sleep(0.1)
+    assert next(F.calls) == done + 1  # no block of the failed call ran after it returned
+    assert done <= F.fail_at + 2 * workers  # nor was any block drawn after the failure was seen
+    cfg = _fm(IdentityCdf(), m, 70)
+    assert simulate_fdr(t, m, cfg, n, seed=1) == simulate_fdr(t, m, cfg, n, seed=1)
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sudfdr.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_and_exact_calls_start_no_thread():
+    out = _run(
+        """
+        import threading
+        before = threading.active_count()
+        import sudfdr
+        t = sudfdr.from_rho(sudfdr.LinearCurve(0.5), 30)
+        cfg = sudfdr.MixtureConfig(model="FM", m=30, m0=21, F=sudfdr.GaussianLocationCdf(1.0))
+        sudfdr.fdr_sud(t, 15, cfg)
+        print(threading.active_count() - before)
+        """
+    )
+    assert out.split() == ["0"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_samples_on_its_own_pool():
+    # the child's copy of the parent's pool has no threads; a child that used
+    # it would wait forever, so it is killed by an alarm instead
+    out = _run(
+        """
+        import os, signal
+        import sudfdr
+        t = sudfdr.from_rho(sudfdr.LinearCurve(0.5), 10)
+        cfg = sudfdr.MixtureConfig(model="FM", m=10, m0=7, F=sudfdr.GaussianLocationCdf(1.0))
+        parent = sudfdr.simulate_fdr(t, 5, cfg, 70_000, seed=3)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)
+            os._exit(0 if sudfdr.simulate_fdr(t, 5, cfg, 70_000, seed=3) == parent else 3)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """
+    )
+    assert out.split() == ["0"]
+
+
+def test_joint_counts_are_int32_and_equal_the_int64_counts():
+    m, n, lam = 100, CHUNK + 5000, 50
+    t = from_rho(LinearCurve(0.5), m)
+    cfg = MixtureConfig(model="RM", m=m, pi0=0.7, F=GaussianLocationCdf(1.0))
+    counts = simulate_joint_counts(t, lam, cfg, n, seed=22)
+    wide = np.zeros((m + 1) ** 2, dtype=np.int64)
+    for _, khat, v in _outcomes(t, [lam], cfg, n, seed=22):
+        np.add.at(wide, khat.astype(np.intp) * (m + 1) + v, 1)
+    assert counts.dtype == np.int32
+    np.testing.assert_array_equal(counts, wide.reshape(m + 1, m + 1))
