@@ -61,7 +61,12 @@ class AlternativeCdf:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Generalized inverse inf{x : F(x) >= u} for u in (0, 1], applied in
-        place to the float array u of uniforms, which is returned."""
+        place to the float array u of uniforms, which is returned.
+
+        The Monte-Carlo oracle calls it from worker threads, on several
+        blocks of one call at once, so it must be thread-safe: state that it
+        changes (a table built on first use, a counter) needs a lock.  It
+        does not run under the caller's np.errstate or warnings filters."""
         raise NotImplementedError
 
     def to_config(self) -> dict:

@@ -7,19 +7,25 @@ is bit-reproducible given (seed, n, config).  Chunk aggregates are combined
 with exact (fsum) accumulation.
 
 A chunk streams through cache-sized blocks of rows.  The calling thread
-draws every block's uniforms from the chunk's stream, in stream order, and
-hands each to a worker of a module-level thread pool, one worker per CPU
-the process may run on, made on first use.  The worker transforms, keys,
-sorts and transposes its block into its own columns of the chunk's tables,
-so the chunk's float64 sample and int64 keys never exist whole.  At most
-two blocks per worker are in flight: after handing on a block the draw
-waits for the oldest before it draws another.  With w workers a block
-holds BLOCK // w keys, so the blocks in flight hold at most 2 BLOCK keys
-on any host.  Every block is joined before the reduce, which runs on the
-calling thread over the whole tables in a fixed order.  A block's values
-depend only on its uniforms and each table cell on one block, so every
-output is the same for any worker count, block size and schedule.  A
-worker's exception is raised again on the calling thread.
+draws every block's uniforms from the chunk's stream, in stream order.
+Where the process may run on two CPUs it hands each block to one of two
+workers of a module-level thread pool, made on first use; otherwise, and
+once the pool takes no more work (after the interpreter began to shut
+down), it works each block itself.  The worker transforms, keys, sorts and
+transposes its block into its own columns of the chunk's tables, so the
+chunk's float64 sample and int64 keys never exist whole.  At most two
+blocks per worker are in flight: after handing on a block the draw waits
+for the oldest before it draws another.  Each of two workers' blocks
+holds at most BLOCK // 2 keys, so the blocks in flight hold at most 2 BLOCK
+keys (one family, where a family alone holds more).  There are no more
+workers than two because smaller blocks lose more to the hand-offs between
+threads than a worker gains: on a two-CPU host, blocks of BLOCK // 4 keys
+on two workers were slower than one thread (BENCH_23.json).  Every block is joined before
+the reduce, which runs on the calling thread over the whole tables in a
+fixed order.  A block's values depend only on its uniforms and each table
+cell on one block, so every output is the same for any worker count, block
+size and schedule.  A worker's exception is raised again on the calling
+thread.
 
 The SUD rule rejects exactly the k_hat smallest p-values:
 p_(k_hat) <= t_k_hat < p_(k_hat+1) in both of its branches, so no tie
@@ -71,9 +77,10 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-BLOCK = 1 << 15  # keys per block on one worker; w workers take blocks of BLOCK // w
+BLOCK = 1 << 15  # keys per block on one thread; each of two workers takes BLOCK // 2
+WORKERS = 2
 
-_pool = None  # (pid, workers, executor), made on first use
+_pool = None  # (pid, executor), made on first use
 _pool_lock = threading.Lock()
 
 
@@ -99,24 +106,29 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _executor():
-    """The worker count, one per CPU this process may run on, and the pool
-    of block workers.  Made on first use, and again in a forked child,
-    whose copy of the parent's pool has no threads."""
+def _executor(m: int):
+    """The number of block workers for families of m p-values and their
+    pool, or (1, None) where the calling thread works every block itself:
+    where the process may run on one CPU, or a family holds more than
+    BLOCK // 2 p-values, so that two workers' blocks would not fit in 2
+    BLOCK keys.  The pool is made on first use, and again in a forked
+    child, whose copy of the parent's pool has no threads."""
     global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < WORKERS or m * WORKERS > BLOCK:
+        return 1, None
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
-            workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            _pool = (os.getpid(), workers, ThreadPoolExecutor(workers, thread_name_prefix="sudfdr-mc"))
-        return _pool[1:]
+            _pool = (os.getpid(), ThreadPoolExecutor(WORKERS, thread_name_prefix="sudfdr-mc"))
+        return WORKERS, _pool[1]
 
 
 def _chunk_outcomes(rng, cfg: MixtureConfig, size: int, bound: np.ndarray, orders: list):
     """Sample one chunk a block of rows at a time and yield (lam, khat, v)
     for each order: every replicate's SUD rank and false rejections.
 
-    A worker sorts each block's keys in place and writes them, transposed,
-    into the block's columns of the chunk's rank-major tables: the
+    A worker, or the calling thread, sorts each block's keys in place and
+    writes them, transposed, into the block's columns of the chunk's rank-major tables: the
     clearance matrix, and in rows 1..m of nulls the null flags of ranks
     1..m, which m row adds turn into nulls[k] = the nulls among the k
     smallest p-values.  A key is the p-value's bit pattern shifted left
@@ -138,12 +150,18 @@ def _chunk_outcomes(rng, cfg: MixtureConfig, size: int, bound: np.ndarray, order
         key &= 1
         nulls[1:, start:stop] = key.T
 
-    workers, pool = _executor()
+    workers, pool = _executor(m)
     pending = deque()
     start = 0
     try:
         for u, null_mask in draw_blocks(rng, cfg, size, max(1, BLOCK // (m * workers))):
-            pending.append(pool.submit(place, start, u, null_mask))
+            if pool is not None:
+                try:
+                    pending.append(pool.submit(place, start, u, null_mask))
+                except RuntimeError:  # the interpreter is shutting down
+                    pool = None
+            if pool is None:
+                place(start, u, null_mask)
             start += len(u)
             if len(pending) == 2 * workers:  # wait before drawing another
                 pending.popleft().result()

@@ -430,22 +430,28 @@ def _every_output(t, cfg, n):
 @pytest.mark.parametrize("F", [IdentityCdf(), GaussianLocationCdf(1.0), DiracZeroCdf()], ids=lambda F: F.kind)
 @pytest.mark.parametrize("model", ["FM", "RM"])
 def test_outputs_do_not_depend_on_the_worker_count(model, F, m, n, monkeypatch):
-    # one worker takes whole blocks in turn; three, more than the host may
-    # have CPUs, take smaller blocks and race to finish them, switching
-    # threads often
+    # the calling thread alone takes whole blocks in turn; three workers,
+    # more than the host may have CPUs, take smaller blocks and race to
+    # finish them, switching threads often
     t = from_rho(LinearCurve(0.5), m)
     cfg = _fm(F, m, int(0.7 * m)) if model == "FM" else MixtureConfig(model="RM", m=m, pi0=0.7, F=F)
     default = _every_output(t, cfg, n)
     interval = sys.getswitchinterval()
     try:
-        for workers in (1, 3):
-            with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(montecarlo, "_pool", (os.getpid(), workers, pool))
-                sys.setswitchinterval(1e-5 if workers > 1 else interval)
-                assert _every_output(t, cfg, n) == default
-            monkeypatch.undo()
+        monkeypatch.setattr(montecarlo, "_executor", lambda m: (1, None))
+        assert _every_output(t, cfg, n) == default
+        with ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(montecarlo, "_executor", lambda m: (3, pool))
+            sys.setswitchinterval(1e-5)
+            assert _every_output(t, cfg, n) == default
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_two_workers_at_most_and_none_for_wide_families():
+    workers, pool = montecarlo._executor(100)
+    assert workers == min(2, len(os.sched_getaffinity(0))) and (pool is None) == (workers == 1)
+    assert montecarlo._executor(montecarlo.BLOCK // 2 + 1) == (1, None)
 
 
 class _Broken(Exception):
@@ -470,7 +476,7 @@ class _FailsOnOneBlock(AlternativeCdf):
 def test_a_worker_exception_reaches_the_caller_and_the_next_call_succeeds(model, where):
     m, n = 100, 1 << 14
     t = from_rho(LinearCurve(0.5), m)
-    workers, _ = montecarlo._executor()
+    workers, _ = montecarlo._executor(m)
     blocks = -(-n // max(1, montecarlo.BLOCK // (m * workers)))
     F = _FailsOnOneBlock(2 if where == "third" else blocks - 1)
     cfg = _fm(F, m, 70) if model == "FM" else MixtureConfig(model="RM", m=m, pi0=0.7, F=F)
@@ -506,6 +512,54 @@ def test_import_and_exact_calls_start_no_thread():
         """
     )
     assert out.split() == ["0"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_a_process_on_one_cpu_samples_on_the_calling_thread():
+    out = _run(
+        """
+        import os, threading
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        import sudfdr
+        t = sudfdr.from_rho(sudfdr.LinearCurve(0.5), 10)
+        cfg = sudfdr.MixtureConfig(model="FM", m=10, m0=7, F=sudfdr.GaussianLocationCdf(1.0))
+        before = threading.active_count()
+        sudfdr.simulate_fdr(t, 5, cfg, 70_000, seed=3)
+        print(threading.active_count() - before)
+        """
+    )
+    assert out.split() == ["0"]
+
+
+def test_a_thread_outliving_the_main_thread_still_samples():
+    # once the main thread has returned, the interpreter's shutdown stops
+    # every thread pool taking work; the call then works its blocks itself
+    out = _run(
+        """
+        import threading, time
+        from concurrent.futures import ThreadPoolExecutor
+        import sudfdr
+        t = sudfdr.from_rho(sudfdr.LinearCurve(0.5), 10)
+        cfg = sudfdr.MixtureConfig(model="FM", m=10, m0=7, F=sudfdr.GaussianLocationCdf(1.0))
+        expected = sudfdr.simulate_fdr(t, 5, cfg, 70_000, seed=3)
+
+        def late():
+            threading.main_thread().join()
+            probe = ThreadPoolExecutor(1)
+            for _ in range(1000):
+                try:
+                    probe.submit(int).result()
+                except RuntimeError:  # the pools take no more work
+                    break
+                time.sleep(0.01)
+            else:
+                print("the pools still take work")
+            print(sudfdr.simulate_fdr(t, 5, cfg, 70_000, seed=3) == expected, flush=True)
+
+        threading.Thread(target=late).start()
+        """
+    )
+    assert out.split() == ["True"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
