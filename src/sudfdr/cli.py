@@ -339,7 +339,8 @@ def cmd_counterexample(args) -> int:
     for model in ("FM", "RM"):
         base = {"model": model, "m": m, "m0": 7, "pi0": 0.7}
         cfgs = [mixture_from_config({**base, "F": {"kind": kind}}) for kind in ("identity", "dirac_zero")]
-        # every order of one problem before the next, so each builds its step tables once
+        # every order of one problem before the next: the first counts every start
+        # of the problem into the slot, and the others copy their laws from it
         uniform, point_mass = ([fdr_sud(t, lam, cfg).fdr for lam in lams] for cfg in cfgs)
         for lam, f_id, f_du in zip(lams, uniform, point_mass):
             if lam in critical:

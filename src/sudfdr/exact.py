@@ -78,13 +78,15 @@ jump inputs.  A count runs a contiguous
 range of starts lo..hi as one stack, on the kernels of the steps after lo:
 at step i the states of the starts before i move together, one batched
 matmul per population, start i joins with its jump, and one strided read
-takes and clears every start's exit anti-diagonal.  It returns the exit
-table of each start s, its rows k >= s - 1, step by step (_exit_rows).
-_laws runs the two counts of the orders lo..hi, the step-down starts lo..hi
-and the step-up starts m - hi + 1..m - lo + 1, and gathers from their
-tables the law of every order at once, laws[lambda - lo, k, j], with a
-column for each null count (m0 + 1 in FM, m + 1 in RM).  steck.psi runs the
-count itself.
+takes and clears every start's exit anti-diagonal.  It returns one table of
+shape (hi - lo + 1, m - lo + 2, null counts), whose [s - lo, k - lo + 1] is
+the exit law of start s at rank k (0 for k < s - 1).  _laws runs the two
+counts of the orders lo..hi, the step-down starts lo..hi and the step-up
+starts m - hi + 1..m - lo + 1, and builds the law of every order at once,
+laws[lambda - lo, k, j], with a column for each null count (m0 + 1 in FM,
+m + 1 in RM): one slice copy of the step-down tables, and the ranks below
+each order from the step-up tables flipped on their starts and ranks.
+steck.psi runs the count itself and reads its table[0].
 
 sud_joint_masses keeps the laws of the last problem it counted in one
 module-level slot, _slot, keyed by value (the model, m0 or pi0, and the
@@ -501,16 +503,6 @@ def _fm_steps(u0: np.ndarray, u1: np.ndarray, m0: int, split=None) -> _Steps:
     return _Steps(lf, m0 + 1, win, win[:-1], win[1:], v[1:] - v[:-1], 1.0 - v[1:], jumps, _sd_fm_masses, split)
 
 
-def _exit_rows(m: int, lo: int, hi: int) -> list:
-    """Where each step's rows begin in the table of a count of the starts
-    lo..hi: step i (i = lo..m) holds rank i - 1 of the starts lo..min(i, hi)
-    in start order, and a last block the rank m of every start.  So start s
-    has the m - s + 2 ranks k = s - 1..m, and from the one start s the
-    table is its exit table."""
-    rows = np.minimum(np.arange(lo, m + 2), hi) - lo + 1
-    return (rows.cumsum() - rows).tolist()
-
-
 def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarray:
     """Step-down counts of m0 nulls and m - m0 alternatives on the FM-layout
     steps of (u0, u1, m0) (see _fm_steps), one from each start lo..hi (hi =
@@ -529,13 +521,13 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     The count from step s starts there with one jump of every point to
     u[s-1], and cuts the states that would have left before it; when the
     first s thresholds are tied this is exact for the rows k >= s - 1, the
-    only rows it returns.  The starts run as one stack of states: at step i
+    only rows it fills.  The starts run as one stack of states: at step i
     those of the starts before i move together, one batched matmul per
     population from the last window to this one, start i joins with its
     jump, and one strided read takes and clears the exit anti-diagonal of
-    every state.  The returned table holds the rows k >= s - 1 of each start
-    s, step by step (see _exit_rows); from the one start 1 it is the whole
-    M.
+    every state.  The returned (hi - lo + 1, m - lo + 2, m0 + 1) table holds
+    the rows k >= s - 1 of start s at [s - lo, k - lo + 1], and 0 at its
+    ranks below s - 1; from the one start 1, table[0] is the whole M.
     """
     hi = lo if hi is None else hi
     m, win = len(steps.win), steps.win.reshape(-1, 4).tolist()
@@ -548,9 +540,8 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     if t0 + t1 > m - hi + 1:
         J[np.add.outer(np.arange(f0, t0 + 1), np.arange(f1, t1 + 1)) > np.arange(m - lo + 1, m - hi, -1)[:, None, None]] = 0.0
     del jumps
-    first = _exit_rows(m, lo, hi)
-    out = np.zeros((first[-1] + len(J), steps.width))
-    by_r0 = out[:, ::-1]  # by_r0[., r0] = out[., m0 - r0]: r0 nulls above, m0 - r0 below
+    out = np.zeros((len(J), m - lo + 2, steps.width))
+    by_r0 = out[..., ::-1]  # by_r0[., ., r0] = out[., ., m0 - r0]: r0 nulls above, m0 - r0 below
     for i, (lo0, hi0, lo1, hi1) in enumerate(win[lo - 1 :], lo):
         L = m - i + 1
         if i > lo:
@@ -573,17 +564,18 @@ def _sd_fm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
             c = P.shape[2]
             at = (f - lo0) * c + L - f - lo1
             exits = P.reshape(len(P), -1)[:, at : at + (t - f) * (c - 1) + 1 : max(c - 1, 1)]
-            by_r0[first[i - lo] : first[i - lo] + len(P), f : t + 1] = exits
+            by_r0[: len(P), i - lo, f : t + 1] = exits
             exits.fill(0.0)
     if lo0 == lo1 == 0:  # the cell (0, 0), no point above t_m
-        out[first[-1] :, -1] = P[:, 0, 0]
+        out[:, -1, -1] = P[:, 0, 0]
     return out
 
 
 def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarray:
     """Step-down counts in RM(m, pi0, F) on its steps (see _steps), one from
     each start lo..hi: masses[k, j] as in _sd_fm_masses, with the same jump
-    starts, the same stack and the same rows.
+    starts, the same stack and the same (hi - lo + 1, m - lo + 2, m + 1)
+    table.
 
     The state P[n0, r] holds the nulls below and the points above the
     threshold, on the step's window.  The points that drop below are split
@@ -622,8 +614,7 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
     J = np.zeros((len(size), nb - na + 1, rb - ra + 1))
     J[start, :, r - ra] = rows[splits, na : nb + 1] * rows[at[start], r][:, None]
     del rows
-    first = _exit_rows(m, lo, hi)
-    out = np.zeros((first[-1] + len(J), steps.width))
+    out = np.zeros((len(J), m - lo + 2, steps.width))
     for i, (A0, A1, B0, B1) in enumerate(win[lo - 1 :], lo):
         L = m - i + 1
         n = min(i, hi + 1) - lo  # the starts before i
@@ -652,12 +643,12 @@ def _sd_rm_masses(steps: _Steps, lo: int = 1, hi: int | None = None) -> np.ndarr
             if i == hi:  # free the jumps once the last start has joined
                 del J
         if B0 <= L <= B1:  # the column r = L (exactly i - 1 points below t_i) leaves
-            out[first[i - lo] : first[i - lo] + len(P), A0 : A1 + 1] = P[:, :, L - B0]
+            out[: len(P), i - lo, A0 : A1 + 1] = P[:, :, L - B0]
             P[:, :, L - B0] = 0.0
         if i < m:
             last, nu_, X_, C_ = buf, nu, X, C
     if B0 == 0:  # the column r = 0, no point above t_m
-        out[first[-1] :, A0 : A1 + 1] = P[:, :, 0]
+        out[:, -1, A0 : A1 + 1] = P[:, :, 0]
     return out
 
 
@@ -723,25 +714,29 @@ def _laws(t: np.ndarray, Fv: np.ndarray, cfg: MixtureConfig, lo: int, hi: int) -
 
     Each direction runs one count: the step-down one of the starts lo..hi and
     the step-up one of the starts m - hi + 1..m - lo + 1.  The ranks k >=
-    lambda are those of step-down start lambda, and the ranks k < lambda
-    those of step-up start m - lambda + 1 read backwards: its rank m - k,
-    with m0 - j nulls below in FM, and in RM P(|R| = k) times the split of
-    rank k, for ranks 0..hi.  Each half is one gather from its count's table
-    (see _exit_rows)."""
+    lambda are those of step-down start lambda, so the step-down tables,
+    whose rank k sits at column k - lo + 1, are one slice copy into the
+    ranks lo - 1..m.  The ranks k < lambda are those of step-up start m -
+    lambda + 1 read backwards: its rank m - k, with m0 - j nulls below in
+    FM, and in RM P(|R| = k) times the split of rank k.  The step-up tables
+    flipped on their starts and ranks hold that rank at [lambda - lo, k],
+    and every order's ranks below lambda are written whole from them, over
+    the step-down rank lambda - 1 (an RM row is zeroed first, as the split
+    fills its null counts 0..hi only)."""
     m = len(t)
     sd, su = _steps("SD", t, Fv, cfg), _steps("SU", t, Fv, cfg)
     down = sd.count(sd, lo, hi)
-    up = su.count(su, m - hi + 1, m - lo + 1)
-    laws = np.zeros((hi - lo + 1, m + 1, down.shape[1]))
-    ranks, orders = np.arange(m + 1), np.arange(lo, hi + 1)[:, None]
-    a, k = np.nonzero(ranks >= orders)  # order lo + a, rank k
-    laws[a, k] = down[np.take(_exit_rows(m, lo, hi), k + 1 - lo) + a]
-    a, k = np.nonzero(ranks < orders)  # rank m - k of step-up start m - lambda + 1, hi - lambda after the first
-    rows = np.take(_exit_rows(m, m - hi + 1, m - lo + 1), hi - k) + hi - lo - a
+    up = su.count(su, m - hi + 1, m - lo + 1)[::-1, ::-1]  # up[lambda - lo, k]: rank m - k of step-up start m - lambda + 1
+    laws = np.zeros((hi - lo + 1, m + 1, sd.width))
+    laws[:, lo - 1 :] = down
+    del down
+    below = (np.arange(hi + 1) < np.arange(lo, hi + 1)[:, None])[..., None]  # the ranks k < lambda
+    head = laws[:, : hi + 1]
     if cfg.model == "RM":
-        laws[a, k, : hi + 1] = su.split(hi)[k] * up[rows]
+        np.copyto(head, 0.0, where=below)
+        np.multiply(su.split(hi), up, out=head[..., : hi + 1], where=below)
     else:
-        laws[a, k] = up[rows, ::-1]
+        np.copyto(head, up[..., ::-1], where=below)
     return laws
 
 

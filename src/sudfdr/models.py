@@ -95,17 +95,15 @@ class GaussianLocationCdf(AlternativeCdf):
     kind = "gaussian"
 
     def __init__(self, mu: float):
-        if mu <= 0:
+        if not mu > 0:  # NaN fails too
             raise ValueError(f"mu must be > 0, got {mu}")
         self.mu = float(mu)
 
     def _eval(self, t):
-        t = np.asarray(t, dtype=float)
         with np.errstate(invalid="ignore"):
             out = ndtr(ndtri(t) + self.mu)
         out = np.where(t <= 0.0, 0.0, out)
-        out = np.where(t >= 1.0, 1.0, out)
-        return out if out.ndim else float(out)
+        return np.where(t >= 1.0, 1.0, out)
 
     def quantile(self, u):
         ndtri(u, out=u)
@@ -127,9 +125,7 @@ class DiracZeroCdf(AlternativeCdf):
     kind = "dirac_zero"
 
     def _eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        return out if out.ndim else 1.0
+        return np.ones_like(t)
 
     def quantile(self, u):
         u.fill(0.0)
@@ -147,9 +143,7 @@ class StepAtOneCdf(AlternativeCdf):
     continuous = False
 
     def _eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (t >= 1.0).astype(float)
-        return out if out.ndim else float(out)
+        return (t >= 1.0).astype(float)
 
     def quantile(self, u):
         u.fill(1.0)

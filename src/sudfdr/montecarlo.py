@@ -326,7 +326,7 @@ def simulate_joint_counts(
 
 def cross_validate(exact_value: float, mc: McEstimate, sigmas: float) -> VerdictReport:
     """Pass iff |exact - mc.mean| <= sigmas * mc.std_error."""
-    if sigmas <= 0:
+    if not sigmas > 0:  # NaN fails too
         raise ValueError(f"need sigmas > 0, got {sigmas}")
     diff = exact_value - mc.mean
     if not mc.std_error:

@@ -117,49 +117,41 @@ def _u_grid_scan(tau: float, G, rho, m: int) -> float:
     return grid[idx[-1]] if len(idx) else 0.0
 
 
-def _u_smooth(tau: float, G, rho, tol: float = 1e-12) -> float:
+_SCAN = 4096  # points of the grid that brackets a smooth crossing
+_TOL = 1e-12  # width to which bisection narrows the bracket
+
+
+def _u_smooth(tau: float, G, rho) -> float:
     """Scan-and-bisect solver for nondecreasing continuous G: one array
-    evaluation of G o rho on a 4096-point grid brackets the crossing, and
-    scalar bisection narrows the bracket to tol."""
+    evaluation of G o rho on a _SCAN-point grid brackets the crossing, and
+    scalar bisection narrows the bracket to _TOL.
+
+    Above tau it seeks the least u with G(rho(u)) <= u, below tau the
+    greatest u with G(rho(u)) >= u: the same search of the first u from tau
+    outward with sign * (G(rho(u)) - u) <= 0, sign = -1 below tau."""
 
     def h(u):
         return float(G(float(rho(u)))) - u
 
-    n_scan = 4096
-    h_tau = h(tau)
-    if h_tau >= 0.0:
-        # min{u in [tau, 1] : G(rho(u)) <= u}
-        us = np.linspace(tau, 1.0, n_scan)
-        idx = np.nonzero(G(rho(us)) - us <= 0.0)[0]
-        if len(idx) == 0:
-            return 1.0
-        i = idx[0]
-        if i == 0:
-            return float(us[0])
-        lo, hi = us[i - 1], us[i]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if h(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
-    # max{u in [0, tau] : G(rho(u)) >= u}
-    us = np.linspace(0.0, tau, n_scan)
-    idx = np.nonzero(G(rho(us)) - us >= 0.0)[0]
+    sign = 1.0 if h(tau) >= 0.0 else -1.0
+    us = np.linspace(tau, 1.0, _SCAN) if sign > 0.0 else np.linspace(0.0, tau, _SCAN)
+    hs = sign * (G(rho(us)) - us)
+    if sign < 0.0:  # from tau down
+        us, hs = us[::-1], hs[::-1]
+    idx = np.nonzero(hs <= 0.0)[0]
     if len(idx) == 0:
-        return 0.0
-    i = idx[-1]
-    if i == n_scan - 1:
-        return float(us[-1])
-    lo, hi = us[i], us[i + 1]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            lo = mid
+        return 1.0 if sign > 0.0 else 0.0
+    i = idx[0]
+    if i == 0:
+        return float(us[0])
+    near, far = us[i - 1], us[i]
+    while abs(far - near) > _TOL:
+        mid = 0.5 * (near + far)
+        if sign * h(mid) <= 0.0:
+            far = mid
         else:
-            hi = mid
-    return float(lo)
+            near = mid
+    return float(far)
 
 
 def u_operator(tau: float, G, rho) -> float:

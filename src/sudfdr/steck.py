@@ -49,7 +49,7 @@ def psi(t) -> float:
     mass of exact._sd_fm_masses with no nulls, whose exit law must pass the mass check."""
     t = np.asarray(t, dtype=float)
     _check_thresholds(t)
-    out = exact._sd_fm_masses(exact._fm_steps(np.zeros(len(t)), t, 0))[:, 0] if len(t) else np.ones(1)  # nothing to cross
+    out = exact._sd_fm_masses(exact._fm_steps(np.zeros(len(t)), t, 0))[0, :, 0] if len(t) else np.ones(1)  # nothing to cross
     exact._check_masses(out)
     return float(out[-1])
 
@@ -68,7 +68,7 @@ def psi_two_pop(t, k0: int, F: AlternativeCdf) -> float:
     exact._require_continuous(F)
     if k == 0:
         return 1.0
-    masses = exact._sd_fm_masses(exact._fm_steps(t, np.asarray(F(t), dtype=float), k0))
+    masses = exact._sd_fm_masses(exact._fm_steps(t, np.asarray(F(t), dtype=float), k0))[0]
     exact._check_masses(masses)
     return float(masses[k, k0])
 

@@ -326,6 +326,20 @@ def test_degenerate_bound_zeta(capsys):
     assert "degenerate" in err
 
 
+def test_nan_mu_is_usage_error(capsys):
+    code, out, err = _run(capsys, "fdr-sweep", "--set", 'alternatives=[{"kind": "gaussian", "mu": NaN}]')
+    assert code == EXIT_USAGE
+    assert "mu must be > 0" in err
+    assert out == ""
+
+
+def test_nan_sigmas_is_usage_error(capsys):
+    code, out, err = _run(capsys, "validate", "--n", "100", "--set", "sigmas=NaN", "--set", "lambdas=[5]")
+    assert code == EXIT_USAGE
+    assert "sigmas > 0" in err
+    assert out == ""
+
+
 def test_precision_failure_exit_code(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise PrecisionError("mass check failed")

@@ -540,7 +540,7 @@ def test_a_law_that_fails_its_mass_check_is_never_retained(monkeypatch, defect, 
 
     def faulty(*args):
         masses = count(*args)
-        masses[:, -2:] += defect
+        masses[..., -2:] += defect
         return masses
 
     monkeypatch.setattr(exact, name, faulty)
@@ -614,13 +614,13 @@ def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
     one = exact._sd_fm_masses(exact._fm_steps(np.zeros(m), t, 0), m)  # the ranks k >= m - 1
     expected = np.zeros((m + 1, 1))
     expected[m - 1 :, 0] = binom.pmf([1, 0], m, 1.0 - u)
-    np.testing.assert_allclose(one, expected[m - 1 :], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(one[0], expected[m - 1 :], rtol=1e-13, atol=0.0)
     two = exact._sd_fm_masses(exact._fm_steps(t, Fv, m0), m)
     expected = np.zeros((m + 1, m0 + 1))
     expected[m - 1, m0 - 1] = binom.pmf(1, m0, 1.0 - u) * v ** (m - m0)
     expected[m - 1, m0] = u**m0 * binom.pmf(1, m - m0, 1.0 - v)
     expected[m, m0] = u**m0 * v ** (m - m0)
-    np.testing.assert_allclose(two, expected[m - 1 :], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(two[0], expected[m - 1 :], rtol=1e-13, atol=0.0)
     pi0 = 0.7
     rm = exact._sd_rm_masses(exact._steps("SD", t, Fv, MixtureConfig(model="RM", m=m, pi0=pi0, F=GaussianLocationCdf(1.0))), m)
     drop = pi0 * u + (1.0 - pi0) * v
@@ -628,7 +628,30 @@ def test_a_count_with_nothing_to_move_builds_no_kernels(monkeypatch):
     expected = np.zeros((m + 1, m + 1))
     expected[m - 1] = binom.pmf(1, m, 1.0 - drop) * binom.pmf(null, m - 1, pi0 * u / drop)
     expected[m] = binom.pmf(0, m, 1.0 - drop) * binom.pmf(null, m, pi0 * u / drop)
-    np.testing.assert_allclose(rm, expected[m - 1 :], rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(rm[0], expected[m - 1 :], rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["linear", "tied"])
+def test_a_stacked_count_holds_each_starts_exit_table(tied):
+    # a count of the starts lo..hi returns table[s - lo, k - lo + 1], the
+    # exit law of start s at rank k: from rank s - 1 on it is the count of
+    # start s alone, within rounding, and below it exactly 0
+    m = 30
+    t = (_tied_thresholds(m) if tied else from_rho(LinearCurve(0.5), m)).as_array()
+    F = GaussianLocationCdf(1.0)
+    Fv = F(t)
+    for cfg in (MixtureConfig(model="FM", m=m, m0=21, F=F), MixtureConfig(model="RM", m=m, pi0=0.7, F=F)):
+        for procedure in ("SD", "SU"):
+            steps = exact._steps(procedure, t, Fv, cfg)
+            for lo, hi in ((1, m), (7, 19)):
+                table = steps.count(steps, lo, hi)
+                assert table.shape == (hi - lo + 1, m - lo + 2, steps.width), (cfg, procedure, lo, hi)
+                for s in range(lo, hi + 1):
+                    one = steps.count(steps, s)
+                    assert one.shape == (1, m - s + 2, steps.width)
+                    assert not table[s - lo, : s - lo].any(), (cfg, procedure, lo, hi, s)
+                    gap = np.max(np.abs(table[s - lo, s - lo :] - one[0]))
+                    assert gap <= 1e-15, (cfg, procedure, lo, hi, s, gap)
 
 
 def _dense_kernel(n: int, drop: float, stay: float) -> np.ndarray:

@@ -63,6 +63,11 @@ def test_gaussian_requires_positive_mu():
         GaussianLocationCdf(-1.0)
 
 
+def test_gaussian_rejects_nan_mu():
+    with pytest.raises(ValueError, match="mu must be > 0"):
+        GaussianLocationCdf(float("nan"))
+
+
 def test_eval_g_identity():
     cfg = MixtureConfig(model="RM", m=10, pi0=0.7, F=IdentityCdf())
     assert eval_G(cfg, 0.2) == pytest.approx(0.2, abs=1e-15)

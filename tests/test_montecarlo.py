@@ -146,6 +146,12 @@ def test_cross_validate_verdicts():
         cross_validate(0.5, est, 0.0)
 
 
+def test_cross_validate_rejects_nan_sigmas():
+    est = McEstimate(mean=0.35, std_error=0.001, n_replicates=1000, seed=0)
+    with pytest.raises(ValueError, match="sigmas > 0"):
+        cross_validate(0.35, est, float("nan"))
+
+
 _GAUSS_FM = _fm(GaussianLocationCdf(1.0))
 
 

@@ -289,7 +289,7 @@ def test_two_pop_raises_when_its_count_fails_the_mass_check(monkeypatch, defect)
 
     def faulty(*args):
         masses = count(*args)
-        masses[[0, 2], [1, 0]] += defect  # (k, j) = (0, 1) and (2, 0), j > k and j < k - m1: both hold 0
+        masses[0, [0, 2], [1, 0]] += defect  # (k, j) = (0, 1) and (2, 0), j > k and j < k - m1: both hold 0
         return masses
 
     monkeypatch.setattr(exact, "_sd_fm_masses", faulty)
