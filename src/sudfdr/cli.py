@@ -110,8 +110,13 @@ def _load_config(args, defaults: dict) -> dict:
     return cfg
 
 
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
+def _items(cfg: dict, key: str) -> list:
+    """cfg[key] as a list (a scalar is one item), which a sweep needs to be nonempty."""
+    x = cfg[key]
+    items = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not items:
+        raise ValueError(f"empty {key} set")
+    return items
 
 
 def _curve(cfg: dict):
@@ -119,13 +124,9 @@ def _curve(cfg: dict):
 
 
 def _lambdas(cfg: dict, m: int) -> list:
-    lam = cfg.get("lambdas", "all")
-    if lam == "all":
+    if cfg.get("lambdas", "all") == "all":
         return list(range(1, m + 1))
-    lams = {_as_int(x, "lambdas") for x in _as_list(lam)}
-    if not lams:
-        raise ValueError("empty lambda set")
-    return sorted(lams)
+    return sorted({_as_int(x, "lambdas") for x in _items(cfg, "lambdas")})
 
 
 def _emit(args, cfg: dict, columns: list, rows: list):
@@ -190,7 +191,7 @@ def cmd_fdr_sweep(args) -> int:
     m = _as_int(cfg["m"], "m")
     t = from_rho(_curve(cfg), m)
     lams = _lambdas(cfg, m)
-    model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in cfg["alternatives"]]
+    model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in _items(cfg, "alternatives")]
     rows = []
     for model_cfg in sorted(model_cfgs, key=lambda mc: mc.F.kind):
         F = model_cfg.F
@@ -277,9 +278,9 @@ def cmd_bound(args) -> int:
     kappa = float(cfg["kappa"])
     rows = []
     grid = itertools.product(
-        sorted(_as_int(x, "m") for x in _as_list(cfg["m"])),
-        sorted(float(x) for x in _as_list(cfg["zeta"])),
-        sorted(float(x) for x in _as_list(cfg["delta"])),
+        sorted(_as_int(x, "m") for x in _items(cfg, "m")),
+        sorted(float(x) for x in _items(cfg, "zeta")),
+        sorted(float(x) for x in _items(cfg, "delta")),
     )
     for m, zeta, delta in grid:
         if cfg["model"] == "FM":
@@ -385,7 +386,7 @@ def cmd_validate(args) -> int:
     rows = []
     all_pass = True
     case_index = 0
-    for case in cfg["cases"]:
+    for case in _items(cfg, "cases"):
         model_cfg = mixture_from_config({"m": m, **case})
         F = model_cfg.F
         for lam in lams:

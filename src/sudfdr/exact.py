@@ -108,14 +108,13 @@ by rounding only, as the batches that build a kernel differ.
 
 Every exact number is one call of one functional, _expect, on the law of
 one order: a payoff(k, j), evaluated on the index arrays of the law's
-nonzero cells (held at the smallest unsigned type that holds m), gives each
-cell a value and a group, and the result is one math.fsum of value times
-mass per group (one stable argsort gathers the groups).  FDR is the FDP
-payoff j/k in two groups, its step-up (k < lambda) and step-down parts; the
-FDP c.d.f. at x is the indicator of j <= floor(x k + 1e-12) or k = 0; the
-histogram puts mass 1 in the bin of the FDP, one group per bin; the k-FWER
-is the indicator of j >= k.  fsum is correctly rounded, so no value depends
-on the order of the cells.
+nonzero cells, gives each cell a value and a group, and the result is one
+math.fsum of value times mass per group (one stable argsort gathers the
+groups).  FDR is the FDP payoff j/k in two groups, its step-up (k < lambda)
+and step-down parts; the FDP c.d.f. at x is the indicator of
+j <= floor(x k + 1e-12) or k = 0; the histogram puts mass 1 in the bin of
+the FDP, one group per bin; the k-FWER is the indicator of j >= k.  fsum is
+correctly rounded, so no value depends on the order of the cells.
 
 Each joint law is checked on construction: a mass below -SUM_TOL or a total
 more than SUM_TOL away from 1 raises PrecisionError.
@@ -824,9 +823,7 @@ def _expect(t: ThresholdCollection, lam: int, cfg: MixtureConfig, payoff, groups
     side, cells = len(masses), np.flatnonzero(masses)
     mass = masses.ravel()[cells]
     del masses  # the rest reads only the nonzero cells
-    k = np.empty(len(cells), np.min_scalar_type(side - 1))  # k and j <= m: every payoff widens them to float64
-    j = np.empty_like(k)
-    np.divmod(cells, side, out=(k, j), casting="unsafe")
+    k, j = np.divmod(cells, side)
     del cells
     value, group = payoff(k, j)
     terms = value * mass

@@ -212,9 +212,12 @@ def _khat_rows(cleared: np.ndarray, orders: list) -> dict:
     return khat
 
 
-def _orders(lambdas, m: int, n: int) -> list:
-    """The distinct orders in first-seen order, after checking that each
-    lies in [1, m] and that n >= 1."""
+def _orders(lambdas, t: ThresholdCollection, cfg: MixtureConfig, n: int) -> list:
+    """The distinct orders in first-seen order, after checking that t and
+    cfg agree on m, that each order lies in [1, m] and that n >= 1."""
+    m = t.m
+    if cfg.m != m:
+        raise ValueError("threshold collection and model disagree on m")
     if _as_int(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
     orders = list(dict.fromkeys(lambdas))
@@ -262,7 +265,7 @@ def simulate_fdr_sweep(t: ThresholdCollection, lambdas, cfg: MixtureConfig, n: i
     standalone simulate_fdr call with the same seed.  A repeated order is
     estimated once.
     """
-    orders = _orders(lambdas, t.m, n)
+    orders = _orders(lambdas, t, cfg, n)
     sums = {lam: [] for lam in orders}
     sums_sq = {lam: [] for lam in orders}
     for lam, khat, v in _outcomes(t, orders, cfg, n, seed):
@@ -286,7 +289,7 @@ def simulate_fdp_hist(
     counts = np.zeros(bins + 1, dtype=np.int64)
     total = []
     total_sq = []
-    for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
+    for _, khat, v in _outcomes(t, _orders([lam], t, cfg, n), cfg, n, seed):
         fdp = v / np.maximum(khat, 1)
         counts += np.bincount(_fdp_bin(fdp, bins), minlength=bins + 1)
         total.append(float(np.sum(fdp)))
@@ -319,7 +322,7 @@ def simulate_joint_counts(
     """
     side = t.m + 1
     counts = np.zeros(side * side, dtype=np.int64)
-    for _, khat, v in _outcomes(t, _orders([lam], t.m, n), cfg, n, seed):
+    for _, khat, v in _outcomes(t, _orders([lam], t, cfg, n), cfg, n, seed):
         counts += np.bincount(khat.astype(np.intp) * side + v, minlength=side * side)
     return counts.reshape(side, side).astype(np.int32 if n < 1 << 31 else np.int64)
 

@@ -1,5 +1,5 @@
 """Step-up-down rejection rule, false discovery proportion, and the
-continuous threshold-selection operator.
+threshold-selection operator, one outward search for step and continuous G.
 
 The SUD procedure of order lambda first checks the ordered p-value at rank
 lambda.  If it clears its threshold, the procedure steps *up* from lambda as
@@ -47,11 +47,15 @@ class SudOutcome:
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical c.d.f. of a p-value family."""
+    """Right-continuous empirical c.d.f. of a nonempty p-value family."""
 
     def __init__(self, p):
         self.sorted = np.sort(np.asarray(p, dtype=float))
         self.m = len(self.sorted)
+        if self.m == 0:
+            raise ValueError("need at least one p-value")
+        if not (self.sorted[0] >= 0.0 and self.sorted[-1] <= 1.0):  # NaN sorts last and fails too
+            raise ValueError("p-values must lie in [0, 1]")
 
     def __call__(self, x):
         return np.searchsorted(self.sorted, x, side="right") / self.m
@@ -101,53 +105,45 @@ def sud_khat(p, t: ThresholdCollection, lam: int, m0: int | None = None) -> SudO
     )
 
 
-def _u_grid_scan(tau: float, G, rho, m: int) -> float:
-    """Exact evaluation on step functions with values in {0, 1/m, ..., 1}:
-    any solution is a fixed point of G o rho, hence lies on that grid."""
-    grid = np.arange(m + 1) / m
-    vals = np.asarray(G(rho(grid)))
-    k_tau = round(tau * m) if abs(tau * m - round(tau * m)) < 1e-9 else None
-    g_tau = float(G(rho(tau)))
-    if g_tau >= tau:
-        start = k_tau if k_tau is not None else int(np.ceil(tau * m - 1e-12))
-        idx = np.nonzero(vals[start:] <= grid[start:] + 1e-15)[0]
-        return grid[start + idx[0]] if len(idx) else 1.0
-    stop = k_tau if k_tau is not None else int(np.floor(tau * m + 1e-12))
-    idx = np.nonzero(vals[: stop + 1] >= grid[: stop + 1] - 1e-15)[0]
-    return grid[idx[-1]] if len(idx) else 0.0
-
-
 _SCAN = 4096  # points of the grid that brackets a smooth crossing
 _TOL = 1e-12  # width to which bisection narrows the bracket
 
 
-def _u_smooth(tau: float, G, rho) -> float:
-    """Scan-and-bisect solver for nondecreasing continuous G: one array
-    evaluation of G o rho on a _SCAN-point grid brackets the crossing, and
-    scalar bisection narrows the bracket to _TOL.
+def _u_scan(tau: float, G, rho, m: int | None) -> float:
+    """The first u from tau outward with G(rho(u)) <= u above tau, or with
+    G(rho(u)) >= u below it, searching up when G(rho(tau)) >= tau.  G o rho
+    is evaluated once, on that side's grid: with m given, G is a step
+    function with values in {0, 1/m, ..., 1}, so u is a grid point k/m
+    (compared with slack 1e-15); otherwise a _SCAN-point grid brackets u and
+    bisection narrows the bracket to _TOL."""
+    up = float(G(float(rho(tau)))) >= tau
+    if m is None:
+        us = np.linspace(tau, 1.0, _SCAN) if up else np.linspace(0.0, tau, _SCAN)
+        slack = 0.0
+    else:
+        km = tau * m  # k/m is the grid point at tau, or the first one beyond it
+        k = round(km) if abs(km - round(km)) < 1e-9 else int(np.ceil(km - 1e-12) if up else np.floor(km + 1e-12))
+        us = np.arange(k, m + 1) / m if up else np.arange(k + 1) / m
+        slack = 1e-15
 
-    Above tau it seeks the least u with G(rho(u)) <= u, below tau the
-    greatest u with G(rho(u)) >= u: the same search of the first u from tau
-    outward with sign * (G(rho(u)) - u) <= 0, sign = -1 below tau."""
+    def passes(vals, u):
+        return vals <= u + slack if up else vals >= u - slack
 
-    def h(u):
-        return float(G(float(rho(u)))) - u
-
-    sign = 1.0 if h(tau) >= 0.0 else -1.0
-    us = np.linspace(tau, 1.0, _SCAN) if sign > 0.0 else np.linspace(0.0, tau, _SCAN)
-    hs = sign * (G(rho(us)) - us)
-    if sign < 0.0:  # from tau down
-        us, hs = us[::-1], hs[::-1]
-    idx = np.nonzero(hs <= 0.0)[0]
+    ok = passes(G(rho(us)), us)
+    if not up:  # evaluated on the ascending grid, read from tau down
+        us, ok = us[::-1], ok[::-1]
+    idx = np.nonzero(ok)[0]
     if len(idx) == 0:
-        return 1.0 if sign > 0.0 else 0.0
+        return 1.0 if up else 0.0
     i = idx[0]
+    if m is not None:  # exact on the value grid
+        return us[i]
     if i == 0:
         return float(us[0])
     near, far = us[i - 1], us[i]
     while abs(far - near) > _TOL:
         mid = 0.5 * (near + far)
-        if sign * h(mid) <= 0.0:
+        if passes(float(G(float(rho(mid)))), mid):
             far = mid
         else:
             near = mid
@@ -158,21 +154,19 @@ def u_operator(tau: float, G, rho) -> float:
     """Threshold-selection fixed point of G o rho anchored at tau.
 
     If G(rho(tau)) >= tau, returns the smallest u >= tau with G(rho(u)) <= u;
-    otherwise the largest u <= tau with G(rho(u)) >= u.  Step functions
-    (EmpiricalCdf) are handled exactly on their value grid; smooth G uses
-    bisection to 1e-12.
+    otherwise the largest u <= tau with G(rho(u)) >= u.  Both are one
+    outward search from tau: on the value grid k/m, exactly, for a step
+    function (EmpiricalCdf), and by scan and bisection to 1e-12 otherwise.
 
     G and rho are called on float64 arrays as well as on floats, and must
     return an array of the same shape (or a value that broadcasts to it)
-    that equals their elementwise value: the solvers evaluate G(rho(u)) on
+    that equals their elementwise value: the search evaluates G(rho(u)) on
     a whole grid of u at once.  Every curve in `sudfdr.thresholds` does,
     `CustomCurve` by mapping its function over the array.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
-    if isinstance(G, EmpiricalCdf):
-        return _u_grid_scan(tau, G, rho, G.m)
-    return _u_smooth(tau, G, rho)
+    return _u_scan(tau, G, rho, G.m if isinstance(G, EmpiricalCdf) else None)
 
 
 def check_sandwich(p, rho: CriticalValueFunction, m: int, lam: int) -> bool:
@@ -186,6 +180,6 @@ def check_sandwich(p, rho: CriticalValueFunction, m: int, lam: int) -> bool:
     def g_upper(x):
         return np.minimum(np.asarray(ghat(x)) + 1.0 / m, 1.0)
 
-    upper = _u_grid_scan(lam / m, g_upper, rho, m)
+    upper = _u_scan(lam / m, g_upper, rho, m)
     k_over_m = out.k_hat / m
     return lower <= k_over_m + 1e-12 and k_over_m <= upper + 1e-12

@@ -291,6 +291,24 @@ def test_empty_lambda_set_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--n", "100", "--set", "cases=[]"],
+        ["fdr-sweep", "--set", "alternatives=[]"],
+        ["bound", "--set", "m=[]"],
+        ["bound", "--set", "zeta=[]"],
+        ["bound", "--set", "delta=[]"],
+    ],
+    ids=["validate-cases", "fdr-sweep-alternatives", "bound-m", "bound-zeta", "bound-delta"],
+)
+def test_an_empty_sweep_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert f"empty {argv[-1].split('=')[0]} set" in err
+    assert out == ""
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = _run(capsys, "bogus")
     assert code == EXIT_USAGE

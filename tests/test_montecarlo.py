@@ -170,6 +170,26 @@ def test_every_entry_point_rejects_orders_outside_1_m(lam):
 
 
 @pytest.mark.parametrize(
+    "cfg",
+    [_fm(GaussianLocationCdf(1.0), m=20, m0=14), _fm(GaussianLocationCdf(1.0), m=5, m0=3),
+     MixtureConfig(model="RM", m=20, pi0=0.7, F=GaussianLocationCdf(1.0)),
+     MixtureConfig(model="RM", m=5, pi0=0.7, F=GaussianLocationCdf(1.0))],
+    ids=["FM-20", "FM-5", "RM-20", "RM-5"],
+)
+def test_every_entry_point_rejects_a_model_of_another_m(cfg):
+    calls = [
+        lambda: simulate_fdr(T10, 3, cfg, 100, seed=0),
+        lambda: simulate_fdr_sweep(T10, [1, 3], cfg, 100, seed=0),
+        lambda: simulate_fdp_hist(T10, 3, cfg, 100, bins=4, seed=0),
+        lambda: simulate_kfwer(T10, 3, cfg, k=1, n=100, seed=0),
+        lambda: simulate_joint_counts(T10, 3, cfg, 100, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threshold collection and model disagree on m"):
+            call()
+
+
+@pytest.mark.parametrize(
     "call, key",
     [
         (lambda: simulate_fdr(T10, 2.0, _GAUSS_FM, 100, seed=0), "lambda"),

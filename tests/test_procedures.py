@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sudfdr.bounds import du_limit_cdf
 from sudfdr.procedures import (
     EmpiricalCdf,
-    _u_grid_scan,
+    _u_scan,
     check_sandwich,
     sud_khat,
     u_operator,
@@ -239,6 +239,17 @@ def test_empirical_cdf_steps():
     assert g(1.0) == 1.0
 
 
+def test_empirical_cdf_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="at least one p-value"):
+        EmpiricalCdf([])
+
+
+@pytest.mark.parametrize("p", [[0.1, math.nan], [0.1, 1.5], [-0.2, 0.3]], ids=["nan", "above_one", "below_zero"])
+def test_empirical_cdf_rejects_p_values_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        EmpiricalCdf(p)
+
+
 # ---------------------------------------------------------------------------
 # the u_operator solvers against their scalar reference loops
 # ---------------------------------------------------------------------------
@@ -371,8 +382,40 @@ def test_grid_u_operator_equals_scalar_reference():
                     def g_upper(x):
                         return np.minimum(np.asarray(ghat(x)) + 1.0 / m, 1.0)
 
-                    assert _u_grid_scan(tau, g_upper, rho, m) == _reference_u_grid_scan(
+                    assert _u_scan(tau, g_upper, rho, m) == _reference_u_grid_scan(
                         tau, g_upper, rho, m)
+
+
+class _Sizes:
+    """Wraps G and records the size of each argument it gets."""
+
+    def __init__(self, G):
+        self.G = G
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.G(x)
+
+
+def test_grid_search_evaluates_only_the_searched_side():
+    # from tau = k/m the search reads at most the m - k + 1 grid points above
+    # tau, or the k + 1 below it, and still equals the one-point-a-time walk
+    rng = np.random.default_rng(25)
+    for rho in (LinearCurve(0.5), AorcCurve(0.2)):
+        for m in (5, 33, 100):
+            for _ in range(5):
+                ghat = EmpiricalCdf(rng.random(m) ** 3)
+
+                def g_upper(x):
+                    return np.minimum(np.asarray(ghat(x)) + 1.0 / m, 1.0)
+
+                for G in (ghat, g_upper):
+                    for k in range(m + 1):
+                        sized = _Sizes(G)
+                        assert _u_scan(k / m, sized, rho, m) == _reference_u_grid_scan(k / m, G, rho, m)
+                        up = float(G(rho(k / m))) >= k / m
+                        assert max(sized.sizes) <= (m - k + 1 if up else k + 1), (m, k, up)
 
 
 def test_smooth_scan_evaluates_g_on_arrays():
