@@ -10,7 +10,9 @@ counterexample  built-in check that the point-mass-at-zero alternative is
 validate        exact-vs-Monte-Carlo cross-validation grid
 
 Every CSV starts with a header block (tool version, config echo and, for
-validate, the seed) so a run is reproducible from its own output file.
+validate, the seed) so a run is reproducible from its own output file.  A
+command builds each row as a dict of its columns in order; JSON rows carry
+the same keys in the same order, with non-finite floats written as null.
 Exit codes: 0 success/PASS, 1 usage or config error, 2 numerical-precision
 failure, 3 validation FAIL.
 """
@@ -22,6 +24,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 
 from sudfdr import __version__
@@ -119,26 +122,32 @@ def _items(cfg: dict, key: str) -> list:
     return items
 
 
-def _curve(cfg: dict):
-    return curve_from_config({"curve": cfg["curve"], "alpha": cfg["alpha"]})
-
-
 def _lambdas(cfg: dict, m: int) -> list:
     if cfg.get("lambdas", "all") == "all":
         return list(range(1, m + 1))
     return sorted({_as_int(x, "lambdas") for x in _items(cfg, "lambdas")})
 
 
-def _emit(args, cfg: dict, columns: list, rows: list):
+def _strict(x):
+    """x with every non-finite float as None, which JSON writes as null."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _emit(args, cfg: dict, rows: list):
+    """Write rows, dicts keyed by column in column order, as CSV or JSON."""
     if args.format == "json":
         doc = {
             "tool": "sudfdr",
             "version": __version__,
             **({"seed": args.seed} if "seed" in args else {}),
             "config": cfg,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": rows,
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         buf.write(f"# sudfdr {__version__}\n")
@@ -146,9 +155,8 @@ def _emit(args, cfg: dict, columns: list, rows: list):
         if "seed" in args:
             buf.write(f"# seed: {args.seed}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(rows[0])  # the header: a dict iterates over its keys
+        writer.writerows(row.values() for row in rows)  # None is written as ""
         text = buf.getvalue()
     _write(args, text)
 
@@ -159,10 +167,6 @@ def _write(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _null_weight(cfg: dict):
-    return cfg["m0"] if cfg["model"] == "FM" else cfg["pi0"]
 
 
 # ---------------------------------------------------------------------------
@@ -189,42 +193,28 @@ def cmd_fdr_sweep(args) -> int:
         },
     )
     m = _as_int(cfg["m"], "m")
-    t = from_rho(_curve(cfg), m)
+    t = from_rho(curve_from_config(cfg), m)
     lams = _lambdas(cfg, m)
     model_cfgs = [mixture_from_config({**cfg, "F": c}) for c in _items(cfg, "alternatives")]
+    null_weight = cfg["m0"] if cfg["model"] == "FM" else cfg["pi0"]
     rows = []
     for model_cfg in sorted(model_cfgs, key=lambda mc: mc.F.kind):
         F = model_cfg.F
-        mu = getattr(F, "mu", None)
         for lam in lams:
             res = fdr_sud(t, lam, model_cfg)
-            rows.append(
-                [
-                    lam,
-                    cfg["model"],
-                    m,
-                    _null_weight(cfg),
-                    F.kind,
-                    mu,
-                    cfg["alpha"],
-                    res.fdr,
-                    res.su_component,
-                    res.sd_component,
-                ]
-            )
-    columns = [
-        "lambda",
-        "model",
-        "m",
-        "m0_or_pi0",
-        "F",
-        "mu",
-        "alpha",
-        "fdr_exact",
-        "fdr_su_part",
-        "fdr_sd_part",
-    ]
-    _emit(args, cfg, columns, rows)
+            rows.append({
+                "lambda": lam,
+                "model": cfg["model"],
+                "m": m,
+                "m0_or_pi0": null_weight,
+                "F": F.kind,
+                "mu": getattr(F, "mu", None),
+                "alpha": cfg["alpha"],
+                "fdr_exact": res.fdr,
+                "fdr_su_part": res.su_component,
+                "fdr_sd_part": res.sd_component,
+            })
+    _emit(args, cfg, rows)
     return EXIT_OK
 
 
@@ -245,15 +235,14 @@ def cmd_fdp_dist(args) -> int:
     )
     m = _as_int(cfg["m"], "m")
     bins = _as_int(cfg["bins"], "bins")
-    t = from_rho(_curve(cfg), m)
+    t = from_rho(curve_from_config(cfg), m)
     model_cfg = mixture_from_config(cfg)
     masses = fdp_pmf_histogram(t, _as_int(cfg["lambda"], "lambda"), model_cfg, bins)
-    rows = []
-    for i, mass in enumerate(masses):
-        lo = i / bins
-        hi = 1.0 if i >= bins else (i + 1) / bins
-        rows.append([i, lo, hi, float(mass)])
-    _emit(args, cfg, ["bin_index", "bin_lo", "bin_hi", "mass"], rows)
+    rows = [
+        {"bin_index": i, "bin_lo": i / bins, "bin_hi": min(i + 1, bins) / bins, "mass": float(mass)}
+        for i, mass in enumerate(masses)
+    ]
+    _emit(args, cfg, rows)
     return EXIT_OK
 
 
@@ -274,7 +263,8 @@ def cmd_bound(args) -> int:
     )
     if cfg["model"] not in ("FM", "RM"):
         raise ValueError(f"unknown model: {cfg['model']!r}")
-    rho = _curve(cfg)
+    fm = cfg["model"] == "FM"
+    rho = curve_from_config(cfg)
     kappa = float(cfg["kappa"])
     rows = []
     grid = itertools.product(
@@ -283,47 +273,26 @@ def cmd_bound(args) -> int:
         sorted(float(x) for x in _items(cfg, "delta")),
     )
     for m, zeta, delta in grid:
-        if cfg["model"] == "FM":
-            m0 = round(zeta * m)
-            if not 0 < m0 < m:
-                raise ValueError(f"zeta={zeta} gives degenerate m0={m0} at m={m}")
-            inputs = BoundInputs(rho=rho, zeta=zeta, delta=delta, m=m, kappa=kappa, m0=m0)
-            res = gap_bound_fm(inputs)
-        else:
-            gamma = cfg["gamma"] if cfg["gamma"] is not None else delta / 2.0
-            inputs = BoundInputs(
-                rho=rho, zeta=zeta, delta=delta, m=m, kappa=kappa, gamma=float(gamma)
-            )
-            res = gap_bound_rm(inputs)
-        rows.append(
-            [
-                m,
-                zeta,
-                delta,
-                kappa,
-                cfg["curve"],
-                cfg["alpha"],
-                res.u_minus,
-                res.u_plus,
-                res.epsilon,
-                res.gap_bound,
-                res.vacuous,
-            ]
-        )
-    columns = [
-        "m",
-        "zeta",
-        "delta",
-        "kappa",
-        "curve",
-        "alpha",
-        "u_minus",
-        "u_plus",
-        "epsilon",
-        "gap_bound",
-        "vacuous",
-    ]
-    _emit(args, cfg, columns, rows)
+        m0 = round(zeta * m) if fm else None
+        if m0 is not None and not 0 < m0 < m:
+            raise ValueError(f"zeta={zeta} gives degenerate m0={m0} at m={m}")
+        gamma = None if fm else float(delta / 2.0 if cfg["gamma"] is None else cfg["gamma"])
+        inputs = BoundInputs(rho=rho, zeta=zeta, delta=delta, m=m, kappa=kappa, m0=m0, gamma=gamma)
+        res = (gap_bound_fm if fm else gap_bound_rm)(inputs)
+        rows.append({
+            "m": m,
+            "zeta": zeta,
+            "delta": delta,
+            "kappa": kappa,
+            "curve": cfg["curve"],
+            "alpha": cfg["alpha"],
+            "u_minus": res.u_minus,
+            "u_plus": res.u_plus,
+            "epsilon": res.epsilon,
+            "gap_bound": res.gap_bound,
+            "vacuous": res.vacuous,
+        })
+    _emit(args, cfg, rows)
     return EXIT_OK
 
 
@@ -379,38 +348,32 @@ def cmd_validate(args) -> int:
         },
     )
     m = _as_int(cfg["m"], "m")
-    t = from_rho(_curve(cfg), m)
+    t = from_rho(curve_from_config(cfg), m)
     lams = _lambdas(cfg, m)
     n = args.n if args.n is not None else _as_int(cfg["n"], "n")
     sigmas = float(cfg["sigmas"])
     rows = []
-    all_pass = True
-    case_index = 0
     for case in _items(cfg, "cases"):
         model_cfg = mixture_from_config({"m": m, **case})
         F = model_cfg.F
         for lam in lams:
             exact = fdr_sud(t, lam, model_cfg).fdr
-            mc = simulate_fdr(t, lam, model_cfg, n, args.seed + case_index)
+            # each (case, lambda) row draws from the seed plus its running index
+            mc = simulate_fdr(t, lam, model_cfg, n, args.seed + len(rows))
             verdict = cross_validate(exact, mc, sigmas)
-            all_pass = all_pass and verdict.passed
-            rows.append(
-                [
-                    case["model"],
-                    F.kind,
-                    getattr(F, "mu", None),
-                    lam,
-                    exact,
-                    mc.mean,
-                    mc.std_error,
-                    verdict.z_score,
-                    verdict.passed,
-                ]
-            )
-            case_index += 1
-    columns = ["model", "F", "mu", "lambda", "exact", "mc_mean", "mc_se", "z", "passed"]
-    _emit(args, cfg, columns, rows)
-    return EXIT_OK if all_pass else EXIT_FAIL
+            rows.append({
+                "model": case["model"],
+                "F": F.kind,
+                "mu": getattr(F, "mu", None),
+                "lambda": lam,
+                "exact": exact,
+                "mc_mean": mc.mean,
+                "mc_se": mc.std_error,
+                "z": verdict.z_score,
+                "passed": verdict.passed,
+            })
+    _emit(args, cfg, rows)
+    return EXIT_OK if all(row["passed"] for row in rows) else EXIT_FAIL
 
 
 # each command with the flags it reads besides --out, which every command takes

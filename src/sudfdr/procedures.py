@@ -137,7 +137,7 @@ def _u_scan(tau: float, G, rho, m: int | None) -> float:
         return 1.0 if up else 0.0
     i = idx[0]
     if m is not None:  # exact on the value grid
-        return us[i]
+        return float(us[i])
     if i == 0:
         return float(us[0])
     near, far = us[i - 1], us[i]

@@ -28,8 +28,8 @@ __all__ = [
     "curve_from_config",
 ]
 
-MONOTONE_TOL = 1e-12
-DEFAULT_GRID = 10_000
+MONOTONE_TOL = 1e-12  # slack of the range and monotonicity checks in check_curve and validate
+DEFAULT_GRID = 10_000  # points of the [0, 1] grid on which check_curve checks a curve
 
 
 class CriticalValueFunction:
@@ -94,7 +94,7 @@ class AorcCurve(CriticalValueFunction):
 
 
 class CustomCurve(CriticalValueFunction):
-    """User-supplied critical value function; monotonicity is checked on a grid.
+    """User-supplied critical value function, checked by `check_curve`.
 
     func is only ever called on one float, so it may use scalar-only code
     such as `math.pow`; an array argument is mapped over elementwise.
@@ -102,10 +102,10 @@ class CustomCurve(CriticalValueFunction):
 
     kind = "custom"
 
-    def __init__(self, func, alpha: float | None = None, grid: int = DEFAULT_GRID):
+    def __init__(self, func, alpha: float | None = None):
         self.func = func
         self.alpha = alpha
-        ok, reason = check_curve(func, grid=grid)
+        ok, reason = check_curve(func)
         if not ok:
             raise ValueError(f"invalid critical value function: {reason}")
 
@@ -116,20 +116,22 @@ class CustomCurve(CriticalValueFunction):
         return self.func(u)
 
 
-def check_curve(rho, grid: int = DEFAULT_GRID, tol: float = MONOTONE_TOL):
+def check_curve(rho):
     """Grid check of the two standard curve conditions.
 
     Returns (ok, reason); ok is True iff rho is nondecreasing on [0,1] with
-    values in [0,1] and u -> rho(u)/u is nondecreasing on (0,1].
+    values in [0,1] and u -> rho(u)/u is nondecreasing on (0,1], checked on
+    DEFAULT_GRID (10 000) evenly spaced points of [0,1] with slack
+    MONOTONE_TOL (1e-12).
     """
-    u = np.linspace(0.0, 1.0, grid)
+    u = np.linspace(0.0, 1.0, DEFAULT_GRID)
     v = np.asarray([float(rho(x)) for x in u])
-    if not np.all((v >= -tol) & (v <= 1.0 + tol)):  # NaN fails too
+    if not np.all((v >= -MONOTONE_TOL) & (v <= 1.0 + MONOTONE_TOL)):  # NaN fails too
         return False, "values leave [0,1]"
-    if not np.all(np.diff(v) >= -tol):
+    if not np.all(np.diff(v) >= -MONOTONE_TOL):
         return False, "rho is not nondecreasing"
     ratio = v[1:] / u[1:]
-    if not np.all(np.diff(ratio) >= -tol):
+    if not np.all(np.diff(ratio) >= -MONOTONE_TOL):
         return False, "rho(u)/u is not nondecreasing"
     return True, ""
 
@@ -190,8 +192,9 @@ def from_rho(rho: CriticalValueFunction, m: int) -> ThresholdCollection:
     return ThresholdCollection(rho(np.arange(1, m + 1) / m))
 
 
-def validate(t, tol: float = MONOTONE_TOL) -> ValidationReport:
-    """Report whether t is nondecreasing and whether k -> t_k/k is nondecreasing.
+def validate(t) -> ValidationReport:
+    """Report whether t is nondecreasing and whether k -> t_k/k is nondecreasing,
+    each up to slack MONOTONE_TOL (1e-12).
 
     Accepts a ThresholdCollection or a raw sequence (the latter so that
     decreasing candidate vectors can be diagnosed rather than rejected).  The
@@ -201,9 +204,9 @@ def validate(t, tol: float = MONOTONE_TOL) -> ValidationReport:
     bound takes a curve, not a collection (CustomCurve checks the conditions).
     """
     arr = t.as_array() if isinstance(t, ThresholdCollection) else np.asarray(t, dtype=float)
-    monotone = bool(np.all(np.diff(arr) >= -tol))
+    monotone = bool(np.all(np.diff(arr) >= -MONOTONE_TOL))
     ratio = arr / np.arange(1, len(arr) + 1)
-    ratio_monotone = bool(np.all(np.diff(ratio) >= -tol))
+    ratio_monotone = bool(np.all(np.diff(ratio) >= -MONOTONE_TOL))
     return ValidationReport(monotone=monotone, tk_over_k_monotone=ratio_monotone)
 
 

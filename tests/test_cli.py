@@ -1,11 +1,18 @@
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 import sudfdr
 from sudfdr import exact
+from sudfdr import cli
 from sudfdr.cli import EXIT_FAIL, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, __version__, main
 from sudfdr.exact import PrecisionError
 
@@ -374,3 +381,72 @@ def test_version_flag_prints_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"sudfdr {sudfdr.__version__}"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_values_as_null(capsys):
+    # n = 1 gives a degenerate estimate that misses, whose z is inf
+    code, out, _ = _run(capsys, "validate", "--n", "1", "--format", "json")
+    assert code == EXIT_FAIL
+    rows = _strict_json(out)["rows"]
+    assert rows and all(r["z"] is None and r["passed"] is False for r in rows)
+    code, out, _ = _run(capsys, "validate", "--n", "1", "--set", "lambdas=[5]")
+    assert code == EXIT_FAIL
+    assert all(r["z"] == "inf" for r in _parse_csv(out)[1])
+    # a non-finite config value is echoed as null as well
+    alternatives = 'alternatives=[{"kind": "gaussian", "mu": Infinity}]'
+    code, out, _ = _run(capsys, "fdr-sweep", "--set", alternatives, "--set", "lambdas=[5]", "--format", "json")
+    assert code == EXIT_OK
+    doc = _strict_json(out)
+    assert doc["config"]["alternatives"] == [{"kind": "gaussian", "mu": None}]
+    assert doc["rows"][0]["mu"] is None
+
+
+_COLUMNS = {
+    "fdr-sweep": ["lambda", "model", "m", "m0_or_pi0", "F", "mu", "alpha", "fdr_exact", "fdr_su_part", "fdr_sd_part"],
+    "fdp-dist": ["bin_index", "bin_lo", "bin_hi", "mass"],
+    "bound": ["m", "zeta", "delta", "kappa", "curve", "alpha", "u_minus", "u_plus", "epsilon", "gap_bound", "vacuous"],
+    "validate": ["model", "F", "mu", "lambda", "exact", "mc_mean", "mc_se", "z", "passed"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fdr-sweep", "--set", "lambdas=[4]"],
+        ["fdp-dist"],
+        ["bound"],
+        ["bound", "--set", "model=RM"],
+        ["validate", "--n", "200"],
+    ],
+    ids=["fdr-sweep", "fdp-dist", "bound-FM", "bound-RM", "validate"],
+)
+def test_each_command_writes_its_columns_in_order(capsys, argv):
+    columns = _COLUMNS[argv[0]]
+    _, out, _ = _run(capsys, *argv)
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body[0].split(",") == columns
+    _, out, _ = _run(capsys, *argv, "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == columns for row in rows)
+
+
+def test_process_exit_codes_and_entry_point():
+    src = str(Path(sudfdr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, expected in ((["counterexample"], EXIT_OK), (["validate", "--n", "1"], EXIT_FAIL)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sudfdr.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == expected, (argv, proc.stderr)
+    with open(Path(src).parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["sud"]
+    assert target == "sudfdr.cli:main"
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

@@ -202,6 +202,19 @@ def test_selection_scale_regression_vector():
     assert u_operator(0.8, EmpiricalCdf(p), rho) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_u_operator_and_sandwich_return_builtin_types():
+    # the value grid's point is a Python float, as the continuous search's is
+    p = np.array([0.02, 0.06, 0.11, 0.16, 0.24, 0.29, 0.34, 0.41, 0.9, 0.95])
+    rho = LinearCurve(0.5)
+    for tau, expect in ((0.4, 0.4), (0.8, 0.7), (1.0, 0.7), (0.0, 0.0)):
+        u = u_operator(tau, EmpiricalCdf(p), rho)
+        assert type(u) is float and u == expect
+    assert type(u_operator(0.5, lambda x: x, rho)) is float
+    for lam in (1, 4, 8, 10):
+        verdict = check_sandwich(p, rho, 10, lam)
+        assert type(verdict) is bool and verdict is True
+
+
 def test_sandwich_on_random_realizations():
     rng = np.random.default_rng(123)
     for _ in range(300):
